@@ -107,14 +107,10 @@ def grant_knowledge(attack: str, protocol: str, msk, users: Mapping[bytes, objec
         raise ScenarioError(f"attack {attack!r} is not defined for protocol {protocol!r}")
     a, b, c = canonical_identities(users.keys())
     improved = is_improved(protocol)
-    if attack == "fs":
-        granted = (a, b, c) if improved else (a, b)
+    if attack in ("fs", "kci"):
+        granted = (a, b, c) if attack == "fs" and improved else (a, b)
         return AdversaryKnowledge(
             attack, protocol, full_keys={i: users[i].full_key for i in granted}
-        )
-    if attack == "kci":
-        return AdversaryKnowledge(
-            attack, protocol, full_keys={i: users[i].full_key for i in (a, b)}
         )
     if attack == "secrets":
         return AdversaryKnowledge(
@@ -365,67 +361,31 @@ class MaskedPointKciAdversary(LiveAdversary):
         return AdversaryResult(key, {"note": "honest parties must abort on the forged signature"})
 
 
-class SharedValuesKgcAdversary(LiveAdversary):
-    """Malicious KGC impersonating C: master key, all partials, A's full key."""
+class SharedValuesAdversary(LiveAdversary):
+    """Impersonates C in a shared-values session.
 
-    def flows(self, peers):
-        # identical to an honest round: T-values need only public peer data
-        state = xcl12.round1(self.params, peers, self.rng)
-        self.ephemeral = state.ephemeral
-        return state
+    Round one is identical to an honest round: T-values need only public
+    peer data.  Subclasses supply ``unmask(view, a, b, c)``, which recovers
+    (a*P, b*P) from the T-values, and ``inverse_partial(c)``, which gives
+    s_C^-1 or a random stand-in for it against the repaired variant.
+    """
 
-    def finish(self, view) -> AdversaryResult:
-        backend = self.params.backend
-        parties = {p.identity: p for p in view.ordered}
-        a, b, c = [p.identity for p in view.ordered]
-        user_a: Xcl12UserKeys = self.knowledge.full_keys[a]
-        s_c = self.knowledge.partial_keys[c].s_u
-        # unmask with the partial scalars the KGC issued itself
-        a_point = s_c * view.t[(a, c)]  # = a * P
-        b_from_a = user_a.partial.s_u * view.t[(b, a)]  # = b * P
-        c_point = self.ephemeral * backend.P
-        k1 = c_point + a_point + b_from_a
-        if self.knowledge.protocol == "xcl12":
-            k2 = backend.pair(a_point, b_from_a) ** self.ephemeral
-            k3 = backend.pair(parties[b].upk, parties[c].upk) ** user_a.secret_value
-            shared = xcl12.SharedValues(k1, k2, k3)
-            key = xcl12.session_key(self.params, view, shared)
-            return AdversaryResult(key, _dlog_details(backend, k1=k1, k2=k2, k3=k3))
-        # repaired variant: k1 and k2 are still computable (the KGC knows
-        # s_C), but k3 needs the exponent c' + x_C and x_C is exactly what
-        # a KGC never sees; substitute a random guess for it
-        b_point = s_c * view.t[(b, c)]  # = b * P
-        k2 = backend.pair(
-            a_point + masked_base(self.params, a, parties[a].r_point),
-            b_point + masked_base(self.params, b, parties[b].r_point),
-        ) ** (self.ephemeral + s_c.inverse())
-        guess = backend.random_scalar(self.rng)
-        k3 = backend.pair(a_point + parties[a].upk, b_point + parties[b].upk) ** (
-            self.ephemeral + guess
-        )
-        shared = xcl12.SharedValues(k1, k2, k3)
-        key = xcl12.session_key(self.params, view, shared)
-        return AdversaryResult(key, {"substituted": "secret value of the impersonated party"})
-
-
-class SharedValuesCommonAdversary(LiveAdversary):
-    """Common adversary impersonating C with the full key triples of A and B."""
+    #: what the repaired variant forces the adversary to guess
+    substituted = ""
 
     def flows(self, peers):
         state = xcl12.round1(self.params, peers, self.rng)
         self.ephemeral = state.ephemeral
         return state
 
-    def finish(self, view) -> AdversaryResult:
+    def shared_values(self, view) -> AdversaryResult:
         backend = self.params.backend
         parties = {p.identity: p for p in view.ordered}
-        a, b, c = [p.identity for p in view.ordered]
-        user_a: Xcl12UserKeys = self.knowledge.full_keys[a]
-        user_b: Xcl12UserKeys = self.knowledge.full_keys[b]
-        a_point = user_b.partial.s_u * view.t[(a, b)]  # = a * P
-        b_point = user_a.partial.s_u * view.t[(b, a)]  # = b * P
+        a, b, c = parties
+        a_point, b_point = self.unmask(view, a, b, c)
         k1 = self.ephemeral * backend.P + a_point + b_point
         if self.knowledge.protocol == "xcl12":
+            user_a: Xcl12UserKeys = self.knowledge.full_keys[a]
             k2 = backend.pair(a_point, b_point) ** self.ephemeral
             k3 = backend.pair(parties[b].upk, parties[c].upk) ** user_a.secret_value
             shared = xcl12.SharedValues(k1, k2, k3)
@@ -433,19 +393,52 @@ class SharedValuesCommonAdversary(LiveAdversary):
             return AdversaryResult(key, _dlog_details(backend, k1=k1, k2=k2, k3=k3))
         # repaired variant: the bases of k2 and k3 are built from public
         # points plus the recovered a*P and b*P, but the exponents need
-        # s_C^-1 and x_C; substitute random guesses for both
+        # s_C^-1 and x_C; x_C is out of reach of every adversary here, so
+        # a random guess stands in for it
         base2 = backend.pair(
             a_point + masked_base(self.params, a, parties[a].r_point),
             b_point + masked_base(self.params, b, parties[b].r_point),
         )
         base3 = backend.pair(a_point + parties[a].upk, b_point + parties[b].upk)
-        k2 = base2 ** (self.ephemeral + backend.random_scalar(self.rng))
+        k2 = base2 ** (self.ephemeral + self.inverse_partial(c))
         k3 = base3 ** (self.ephemeral + backend.random_scalar(self.rng))
         shared = xcl12.SharedValues(k1, k2, k3)
         key = xcl12.session_key(self.params, view, shared)
-        return AdversaryResult(
-            key, {"substituted": "partial scalar and secret value of the impersonated party"}
-        )
+        return AdversaryResult(key, {"substituted": self.substituted})
+
+
+class SharedValuesKgcAdversary(SharedValuesAdversary):
+    """Malicious KGC impersonating C: master key, all partials, A's full key."""
+
+    substituted = "secret value of the impersonated party"
+
+    def unmask(self, view, a, b, c):
+        # unmask with the partial scalars the KGC issued itself
+        s_c = self.knowledge.partial_keys[c].s_u
+        return s_c * view.t[(a, c)], self.knowledge.full_keys[a].partial.s_u * view.t[(b, a)]
+
+    def inverse_partial(self, c):
+        # the KGC issued s_C itself; x_C is what a KGC never sees
+        return self.knowledge.partial_keys[c].s_u.inverse()
+
+    def finish(self, view) -> AdversaryResult:
+        return self.shared_values(view)
+
+
+class SharedValuesCommonAdversary(SharedValuesAdversary):
+    """Common adversary impersonating C with the full key triples of A and B."""
+
+    substituted = "partial scalar and secret value of the impersonated party"
+
+    def unmask(self, view, a, b, c):
+        user_a, user_b = self.knowledge.full_keys[a], self.knowledge.full_keys[b]
+        return user_b.partial.s_u * view.t[(a, b)], user_a.partial.s_u * view.t[(b, a)]
+
+    def inverse_partial(self, c):
+        return self.params.backend.random_scalar(self.rng)
+
+    def finish(self, view) -> AdversaryResult:
+        return self.shared_values(view)
 
 
 def make_live_adversary(attack: str, params: SystemParams, knowledge: AdversaryKnowledge, public, rng) -> LiveAdversary:

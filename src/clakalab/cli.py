@@ -121,10 +121,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_run(args) -> int:
     if args.replay:
-        report = _load_json(args.replay)
-        match, _ = harness.replay_report(report)
-        print(f"replay of {args.replay}: {'match' if match else 'MISMATCH'}")
-        return EXIT_OK if match else EXIT_UNEXPECTED
+        return _replay(args.replay)
     if args.protocol is None:
         raise ScenarioError("run needs --protocol (or --replay)")
 
@@ -168,9 +165,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_count_ops(args) -> int:
-    profile = args.profile or default_profile(args.backend)
-    identities = tuple(i for i in args.ids.split(",") if i)
-    report = harness.count_operations(args.seed, profile, identities)
+    config = _config_from_args(args)
+    report = harness.count_operations(config.seed, config.profile, config.identities)
     if args.out:
         _write_out(args.out, report)
     for party, counts in sorted(report["parties"].items()):
@@ -183,10 +179,9 @@ def _cmd_count_ops(args) -> int:
     return EXIT_OK
 
 
-def _cmd_replay(args) -> int:
-    report = _load_json(args.report)
-    match, _ = harness.replay_report(report)
-    print(f"replay of {args.report}: {'match' if match else 'MISMATCH'}")
+def _replay(path: str) -> int:
+    match, _ = harness.replay_report(_load_json(path))
+    print(f"replay of {path}: {'match' if match else 'MISMATCH'}")
     return EXIT_OK if match else EXIT_UNEXPECTED
 
 
@@ -195,7 +190,7 @@ _COMMANDS = {
     "run": _cmd_run,
     "attack": _cmd_attack,
     "count-ops": _cmd_count_ops,
-    "replay": _cmd_replay,
+    "replay": lambda args: _replay(args.report),
 }
 
 

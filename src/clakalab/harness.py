@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import attacks, keyinfra, wire, xcl12, xcq11
-from .errors import ScenarioError, SignatureInvalidError
+from .errors import EncodingError, ScenarioError, SignatureInvalidError
 from .keyinfra import SystemParams, setup
-from .pairing import DEFAULT_KEY_BITS, get_backend
+from .pairing import DEFAULT_KEY_BITS, PROFILE_NAMES, get_backend
 from .session import (
     PROTOCOL_VARIANTS,
     PartyPublic,
@@ -71,14 +71,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ScenarioConfig":
-        return cls(
-            protocol=obj["protocol"],
-            profile=obj.get("profile", DEFAULT_PROFILE),
-            seed=int(obj.get("seed", 0)),
-            identities=tuple(obj.get("identities", DEFAULT_IDENTITIES)),
-            attack=obj.get("attack"),
-            key_bits=int(obj.get("key_bits", DEFAULT_KEY_BITS)),
-        )
+        try:
+            config = cls(
+                protocol=obj["protocol"],
+                profile=obj.get("profile", DEFAULT_PROFILE),
+                seed=int(obj.get("seed", 0)),
+                identities=tuple(obj.get("identities", DEFAULT_IDENTITIES)),
+                attack=obj.get("attack"),
+                key_bits=int(obj.get("key_bits", DEFAULT_KEY_BITS)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EncodingError(f"malformed scenario config: {exc!r}") from exc
+        if config.profile not in PROFILE_NAMES:
+            raise EncodingError(f"unknown profile {config.profile!r} in scenario config")
+        return config
 
 
 @dataclass
@@ -231,10 +237,10 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
     messages = []
     seq = 0
 
+    actors = {i: impostor if i == impostor_id else machines[i] for i in ids}
     announcements = {}
     for identity in ids:
-        actor = impostor if identity == impostor_id else machines[identity]
-        ann = actor.announcement()
+        ann = actors[identity].announcement()
         announcements[identity] = ann
         messages.append(
             wire.message_record(session_id, protocol, seq, identity, "announce", wire.announce_payload(protocol, ann))
@@ -244,8 +250,7 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
     flow_payloads = []
     for identity in ids:
         peers = [announcements[j] for j in ids if j != identity]
-        actor = impostor if identity == impostor_id else machines[identity]
-        outgoing = actor.flows(peers)
+        outgoing = actors[identity].flows(peers)
         payload = wire.flows_payload(protocol, outgoing)
         flow_payloads.append((identity, payload))
         messages.append(wire.message_record(session_id, protocol, seq, identity, "flows", payload))
@@ -349,10 +354,9 @@ def run_attack_scenario(config: ScenarioConfig) -> AttackRun:
     knowledge = attacks.grant_knowledge(config.attack, config.protocol, world.msk, world.users)
     adv_rng = rng_for(config.seed, "adversary")
 
+    failure = None
     if config.attack in attacks.PASSIVE_ATTACKS:
         run = _drive_session(world)
-        honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
-        failure = None
         try:
             if config.attack == "fs":
                 result = attacks.forward_secrecy_attack(world.params, knowledge, run.view, adv_rng)
@@ -361,23 +365,16 @@ def run_attack_scenario(config: ScenarioConfig) -> AttackRun:
         except attacks.DegenerateDenominatorError as exc:
             result = attacks.AdversaryResult(None, {})
             failure = str(exc)
-        outcome = attacks.judge_outcome(
-            config.attack, config.protocol, result, honest_keys, aborted=(), failure=failure
-        )
-        transcript = run.transcript
     else:
         impersonated = canonical_identities(world.users.keys())[2]
         public = public_record(config.protocol, world.users[impersonated])
         adversary = attacks.make_live_adversary(config.attack, world.params, knowledge, public, adv_rng)
         run = _drive_session(world, impostor=adversary)
-        honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
-        outcome = attacks.judge_outcome(
-            config.attack, config.protocol, run.adversary_result, honest_keys, run.aborted
-        )
-        transcript = run.transcript
-
-    report = build_attack_report(config, knowledge, outcome, transcript, world)
-    return AttackRun(config, outcome, transcript, report)
+        result = run.adversary_result
+    honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
+    outcome = attacks.judge_outcome(config.attack, config.protocol, result, honest_keys, run.aborted, failure)
+    report = build_attack_report(config, knowledge, outcome, run.transcript, world)
+    return AttackRun(config, outcome, run.transcript, report)
 
 
 def build_attack_report(config, knowledge, outcome, transcript, world) -> dict:
@@ -436,12 +433,13 @@ def count_operations(seed: int = 0, profile: str = DEFAULT_PROFILE, identities=D
 
 def regenerate_report(report: Mapping) -> dict:
     """Re-run the scenario a stored report came from."""
+    if not isinstance(report, Mapping):
+        raise EncodingError("a stored report must be a JSON object")
     kind = report.get("kind")
-    if kind == "run":
-        config = ScenarioConfig.from_json(report["config"])
-        return build_run_report(run_honest_session(config, keyring=report.get("keyring")))
-    if kind == "attack":
-        config = ScenarioConfig.from_json(report["config"])
+    if kind in ("run", "attack"):
+        config = ScenarioConfig.from_json(report.get("config"))
+        if kind == "run":
+            return build_run_report(run_honest_session(config, keyring=report.get("keyring")))
         return run_attack_scenario(config).report
     if kind == "count-ops":
         cfg = report["config"]

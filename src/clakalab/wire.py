@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from . import clsig, xcl12, xcq11
 from .errors import EncodingError
 from .keyinfra import SystemParams
-from .session import PartyPublic, family
+from .session import PairwiseView, PartyPublic, family
 
 TRANSCRIPT_SCHEMA = "clakalab-transcript/1"
 REPORT_SCHEMA = "clakalab-report/1"
@@ -101,8 +101,6 @@ def build_view(protocol: str, params: SystemParams, announce_payloads: Sequence[
         for sender, payload in flows:
             for recv_str, point_hex in payload["t"].items():
                 t[(sender, recv_str.encode("utf-8"))] = backend.g1_from_bytes(bytes.fromhex(point_hex))
-        if family(protocol) == "xcq11":
-            return xcq11.Xcq11View(parties, t)
-        return xcl12.Xcl12View(parties, t)
+        return PairwiseView(parties, t)
     except (KeyError, TypeError, ValueError) as exc:
         raise EncodingError(f"malformed flows payload: {exc}") from exc

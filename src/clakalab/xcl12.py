@@ -28,13 +28,13 @@ is four extra point additions per party and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingTranscriptFieldError
 from .keyinfra import XCL12_H2, SystemParams, Xcl12UserKeys, masked_base
 from .pairing import G1Point, G2Elem, Scalar
-from .session import SessionKey, canonical_parties
+from .session import PairwiseView, SessionKey
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,7 @@ class OpCounter:
     g2_exps: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "point_adds": self.point_adds,
-            "scalar_muls": self.scalar_muls,
-            "pairings": self.pairings,
-            "g2_exps": self.g2_exps,
-        }
+        return asdict(self)
 
     def delta(self, other: "OpCounter") -> dict:
         return {k: other.as_dict()[k] - v for k, v in self.as_dict().items()}
@@ -96,25 +91,8 @@ class Xcl12Flow:
     peer_bases: Mapping[bytes, G1Point]
 
 
-@dataclass(frozen=True)
-class Xcl12View:
-    parties: tuple[Announcement, ...]
-    t: Mapping[tuple[bytes, bytes], G1Point]
-
-    @property
-    def ordered(self) -> tuple[Announcement, ...]:
-        return canonical_parties(self.parties)
-
-    def require_complete(self) -> None:
-        if len(self.parties) != 3:
-            raise MissingTranscriptFieldError("a session view needs exactly three parties")
-        ids = [p.identity for p in self.ordered]
-        for sender in ids:
-            for receiver in ids:
-                if sender != receiver and (sender, receiver) not in self.t:
-                    raise MissingTranscriptFieldError(
-                        f"missing T-value {sender!r} -> {receiver!r}"
-                    )
+#: the shared-values session view; one T-value per ordered pair of parties
+Xcl12View = PairwiseView
 
 
 def round1(params: SystemParams, peers: Sequence[Announcement], rng, counter: OpCounter | None = None) -> Xcl12Flow:
@@ -137,12 +115,7 @@ def session_key(params: SystemParams, view: Xcl12View, shared: SharedValues) -> 
     The announcement points R_U are deliberately not part of the list; they
     enter only through the T-values they mask.
     """
-    ordered = view.ordered
-    ids = [p.identity for p in ordered]
-    parts = list(ids)
-    parts += [p.upk.to_bytes() for p in ordered]
-    parts += [view.t[(s, r)].to_bytes() for s in ids for r in ids if s != r]
-    parts += [shared.k1.to_bytes(), shared.k2.to_bytes(), shared.k3.to_bytes()]
+    parts = view.kdf_prefix() + [shared.k1.to_bytes(), shared.k2.to_bytes(), shared.k3.to_bytes()]
     return params.backend.kdf(XCL12_H2, parts, params.key_bits)
 
 

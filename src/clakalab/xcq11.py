@@ -22,7 +22,7 @@ from . import clsig
 from .errors import MissingTranscriptFieldError, SignatureInvalidError
 from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
-from .session import PartyPublic, SessionKey, canonical_parties
+from .session import PairwiseView, PartyPublic, SessionKey, canonical_parties, kdf_prefix
 
 
 @dataclass(frozen=True)
@@ -33,27 +33,8 @@ class Xcq11Outgoing:
     t_out: Mapping[bytes, G1Point]  # receiver identity -> T value
 
 
-@dataclass(frozen=True)
-class Xcq11View:
-    """Everything public in one completed session: parties and T matrix."""
-
-    parties: tuple[PartyPublic, ...]
-    t: Mapping[tuple[bytes, bytes], G1Point]  # (sender, receiver) -> T
-
-    @property
-    def ordered(self) -> tuple[PartyPublic, ...]:
-        return canonical_parties(self.parties)
-
-    def require_complete(self) -> None:
-        if len(self.parties) != 3:
-            raise MissingTranscriptFieldError("a session view needs exactly three parties")
-        ids = [p.identity for p in self.ordered]
-        for sender in ids:
-            for receiver in ids:
-                if sender != receiver and (sender, receiver) not in self.t:
-                    raise MissingTranscriptFieldError(
-                        f"missing T-value {sender!r} -> {receiver!r}"
-                    )
+#: the masked-point session view; one T-value per ordered pair of parties
+Xcq11View = PairwiseView
 
 
 def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> Xcq11Outgoing:
@@ -69,15 +50,7 @@ def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> Xcq11Outg
 
 def session_key(params: SystemParams, view: Xcq11View, shared: G2Elem) -> bytes:
     """KDF over identities, public keys, all six T-values, and the shared value."""
-    ordered = view.ordered
-    ids = [p.identity for p in ordered]
-    parts = list(ids)
-    parts += [p.upk.to_bytes() for p in ordered]
-    parts += [
-        view.t[(s, r)].to_bytes() for s in ids for r in ids if s != r
-    ]  # sender-major order: T_AB, T_AC, T_BA, T_BC, T_CA, T_CB
-    parts.append(shared.to_bytes())
-    return params.backend.kdf(XCQ11_H3, parts, params.key_bits)
+    return params.backend.kdf(XCQ11_H3, view.kdf_prefix() + [shared.to_bytes()], params.key_bits)
 
 
 def derive(params: SystemParams, own: Xcq11UserKeys, state: Xcq11Outgoing, view: Xcq11View) -> SessionKey:
@@ -143,11 +116,8 @@ def improved_round1(params: SystemParams, own: Xcq11UserKeys, rng) -> Xcq11Signe
 
 def improved_session_key(params: SystemParams, view: Xcq11ImprovedView, shared: G2Elem) -> bytes:
     ordered = view.ordered
-    parts = [p.identity for p in ordered]
-    parts += [p.upk.to_bytes() for p in ordered]
-    parts += [view.t_points[p.identity].to_bytes() for p in ordered]
-    parts.append(shared.to_bytes())
-    return params.backend.kdf(XCQ11_H3, parts, params.key_bits)
+    parts = kdf_prefix(ordered, [view.t_points[p.identity] for p in ordered])
+    return params.backend.kdf(XCQ11_H3, parts + [shared.to_bytes()], params.key_bits)
 
 
 def improved_derive(

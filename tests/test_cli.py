@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from clakalab import cli
 
 
@@ -102,3 +104,22 @@ def test_keygen_to_stdout(capsys):
 def test_crypto_backend_run(capsys):
     assert run_cli("run", "--protocol", "xcq11", "--backend", "crypto", "--seed", "1") == 0
     capsys.readouterr()
+
+
+
+MALFORMED_REPORTS = {
+    "no-protocol": {"kind": "run", "config": {"seed": 0}},
+    "seed-not-int": {"kind": "run", "config": {"protocol": "xcq11", "seed": "x"}},
+    "top-level-list": [{"kind": "run", "config": {"protocol": "xcq11"}}],
+    "identities-not-list": {"kind": "run", "config": {"protocol": "xcq11", "identities": 5}},
+    "unknown-profile": {"kind": "run", "config": {"protocol": "xcq11", "profile": "nope"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+@pytest.mark.parametrize("command", [("replay",), ("run", "--replay")], ids=["replay", "run-replay"])
+def test_malformed_report_is_io_error(tmp_path, capsys, case, command):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(MALFORMED_REPORTS[case]))
+    assert run_cli(*command, str(path)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err

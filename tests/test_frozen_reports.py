@@ -1,0 +1,46 @@
+"""Determinism pins: the report bytes of every honest variant and attack cell."""
+
+import hashlib
+
+import pytest
+
+from clakalab import harness, wire
+from clakalab.harness import ScenarioConfig
+
+# sha256 of canonical_json(report) on profile t256, seed 0
+HONEST_REPORT_DIGESTS = {
+    "xcq11": "6c1e9081987866286698ed77a9dedfd521246c911497e21186644da0fcd26198",
+    "xcq11i": "9372521e3f26d021bd0cd17d062934833d3e2063c979262507ac8f0862952a90",
+    "xcl12": "15b97f1cdf55f75bdda890b8ca4c8b5540961a71880e2d0084d71304acd0067c",
+    "xcl12i": "7cba2b313f4b73a7fb235ee8182642ec694234649dc53e92ddf6ab36602ba24f",
+}
+
+ATTACK_REPORT_DIGESTS = {
+    ("fs", "xcq11"): "4e42b85f038bb1554fdb743065ee872b333dc073052ccd92936ea09fccfecfbd",
+    ("fs", "xcq11i"): "f737532beae41a646d96e1ea6581fc02499a05e437bf8075ee218a60b634907d",
+    ("kci", "xcq11"): "369fb7bb5296c1fad464c650db5e5edffa75fc90bf2b644c7c5b81b4da3178be",
+    ("kci", "xcq11i"): "cb7c23a1d85a18a212cf4ceb33363ff6f33cc99dcf185ce7c16e287247a8904d",
+    ("secrets", "xcq11"): "3fb634f7aebc22b0fce56006289d2942932614e8418e7c84bad4891d4cf412b2",
+    ("secrets", "xcq11i"): "b40fc9aa322159fd495e71d96ea0ead51b209f54722d92a8ec17080ae564fa99",
+    ("kci-kgc", "xcl12"): "ae170258bb4c619695df392a09a5205210c95ac895e6ed993fcfd7da12f7b5ce",
+    ("kci-kgc", "xcl12i"): "d629df95a7fd998edd650f2b3350214f7d3f42fddf2eec2b27341fda13292b2f",
+    ("kci-common", "xcl12"): "dbfd3f9e97940a4468f185e1f68e677c6ad8e444f68b7e0764ec7a1645273599",
+    ("kci-common", "xcl12i"): "aa9d44a1c1af7f48b31cc77d91ec141997273a7f049f920c5fbdfe9072ea8df3",
+}
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(wire.canonical_json(report)).hexdigest()
+
+
+@pytest.mark.parametrize("protocol", sorted(HONEST_REPORT_DIGESTS))
+def test_frozen_run_report_digest(protocol):
+    run = harness.run_honest_session(ScenarioConfig(protocol=protocol, profile="t256", seed=0))
+    assert _digest(harness.build_run_report(run)) == HONEST_REPORT_DIGESTS[protocol]
+
+
+@pytest.mark.parametrize("attack,protocol", sorted(ATTACK_REPORT_DIGESTS))
+def test_frozen_attack_report_digest(attack, protocol):
+    config = ScenarioConfig(protocol=protocol, profile="t256", seed=0, attack=attack)
+    report = harness.run_attack_scenario(config).report
+    assert _digest(report) == ATTACK_REPORT_DIGESTS[(attack, protocol)]
