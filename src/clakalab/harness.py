@@ -70,13 +70,19 @@ class ScenarioConfig:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "ScenarioConfig":
+    def from_json(cls, obj: Mapping, protocol: Optional[str] = None) -> "ScenarioConfig":
+        """Parse a stored config; ``protocol`` stands in for a config that names none."""
+        if not isinstance(obj, Mapping):
+            raise EncodingError("malformed scenario config: not a JSON object")
+        identities = obj.get("identities", list(DEFAULT_IDENTITIES))
+        if not isinstance(identities, list) or not all(isinstance(i, str) for i in identities):
+            raise EncodingError("scenario identities must be a list of strings")
         try:
             config = cls(
-                protocol=obj["protocol"],
+                protocol=obj["protocol"] if protocol is None else protocol,
                 profile=obj.get("profile", DEFAULT_PROFILE),
                 seed=int(obj.get("seed", 0)),
-                identities=tuple(obj.get("identities", DEFAULT_IDENTITIES)),
+                identities=tuple(identities),
                 attack=obj.get("attack"),
                 key_bits=int(obj.get("key_bits", DEFAULT_KEY_BITS)),
             )
@@ -442,8 +448,9 @@ def regenerate_report(report: Mapping) -> dict:
             return build_run_report(run_honest_session(config, keyring=report.get("keyring")))
         return run_attack_scenario(config).report
     if kind == "count-ops":
-        cfg = report["config"]
-        return count_operations(cfg.get("seed", 0), cfg.get("profile", DEFAULT_PROFILE), cfg.get("identities", DEFAULT_IDENTITIES))
+        # count-ops runs both xcl12 variants, so its config names no protocol
+        config = ScenarioConfig.from_json(report.get("config"), protocol="xcl12")
+        return count_operations(config.seed, config.profile, config.identities)
     raise ScenarioError(f"cannot replay report of kind {kind!r}")
 
 

@@ -416,16 +416,24 @@ class TransparentBackend(PairingBackend):
         return z.data
 
 
+_JAC_IDENTITY = (1, 1, 0)
+
+
 class SupersingularBackend(PairingBackend):
     """Tate pairing on the supersingular curve y^2 = x^3 + x over F_p.
 
-    G1 points are affine pairs (x, y) with ``None`` for the identity.  G2
-    elements live in the order-q subgroup of F_p^2 = F_p[i] (i^2 = -1) and
-    are stored as coefficient pairs (c0, c1).  The second pairing argument
-    is passed through the distortion map psi(x, y) = (-x, i*y); because the
-    x-coordinate of a distorted point stays in F_p, all vertical-line
-    factors of the Miller loop land in F_p^* and are erased by the final
-    exponentiation (p - 1)*h, so they are skipped.
+    G1 points are stored as affine pairs (x, y) with ``None`` for the
+    identity, but multiplied and paired in Jacobian coordinates (X, Y, Z),
+    x = X/Z^2 and y = Y/Z^3, with mixed additions of the affine base, so
+    each scalar multiplication and each Miller loop makes one field
+    inversion.  G2 elements live in the order-q subgroup of
+    F_p^2 = F_p[i] (i^2 = -1) and are stored as coefficient pairs (c0, c1).
+    The second pairing argument is passed through the distortion map
+    psi(x, y) = (-x, i*y); because the x-coordinate of a distorted point
+    stays in F_p, all vertical-line factors of the Miller loop land in
+    F_p^* and are erased by the final exponentiation (p - 1)*h, so they are
+    skipped.  The same exponent erases the F_p^* factor each line is scaled
+    by to clear its Jacobian denominators.
     """
 
     backend_id = "crypto"
@@ -482,15 +490,54 @@ class SupersingularBackend(PairingBackend):
             return None
         return (a[0], -a[1] % self.p)
 
+    # Jacobian points (X, Y, Z) stand for (X/Z^2, Y/Z^3); Z = 0 is the identity
+
+    def _jac_double(self, t):
+        p = self.p
+        X, Y, Z = t
+        if not (Y and Z):  # the identity, or a point of order 2
+            return _JAC_IDENTITY
+        YY = Y * Y % p
+        ZZ = Z * Z % p
+        M = (3 * X * X + ZZ * ZZ) % p  # 3x^2 + a with a = 1, times Z^4
+        S = 4 * X * YY % p
+        X3 = (M * M - 2 * S) % p
+        return (X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p)
+
+    def _jac_add(self, t, a):
+        """t + a for a Jacobian t and an affine a other than the identity."""
+        p = self.p
+        X, Y, Z = t
+        xa, ya = a
+        if not Z:
+            return (xa, ya, 1)
+        ZZ = Z * Z % p
+        H = (xa * ZZ - X) % p
+        r = (ya * ZZ * Z - Y) % p
+        if not H:
+            return self._jac_double(t) if not r else _JAC_IDENTITY
+        HH = H * H % p
+        HHH = H * HH % p
+        V = X * HH % p
+        X3 = (r * r - HHH - 2 * V) % p
+        return (X3, (r * (V - X3) - Y * HHH) % p, Z * H % p)
+
     def _ec_mul(self, k, a):
-        result = None
-        addend = a
-        while k:
-            if k & 1:
-                result = self._ec_add(result, addend)
-            addend = self._ec_add(addend, addend)
-            k >>= 1
-        return result
+        # left-to-right double-and-add; the only inversion leaves Jacobian form
+        if not k or a is None:
+            return None
+        t = (a[0], a[1], 1)
+        for bit in bin(k)[3:]:
+            t = self._jac_double(t)
+            if bit == "1":
+                t = self._jac_add(t, a)
+        X, Y, Z = t
+        if not Z:
+            return None
+        p = self.p
+        z_inv = pow(Z, -1, p)
+        z_inv2 = z_inv * z_inv % p
+        return (X * z_inv2 % p, Y * z_inv2 * z_inv % p)
 
     def _on_curve(self, a) -> bool:
         if a is None:
@@ -558,7 +605,11 @@ class SupersingularBackend(PairingBackend):
         return z.data == (1, 0)
 
     def pair(self, u, v):
-        """Reduced Tate pairing e(U, psi(V)) with denominator elimination."""
+        """Reduced Tate pairing e(U, psi(V)) with denominator elimination.
+
+        The Miller loop computes q*U on the way, so a first argument outside
+        the order-q subgroup is rejected at no extra cost.
+        """
         self._check_pair_args(u, v)
         if u.data is None or v.data is None:
             return self.g2_identity()
@@ -566,26 +617,48 @@ class SupersingularBackend(PairingBackend):
         xq, yq = v.data
         xe = -xq % p  # x-coordinate of psi(V); stays in F_p
         xu, yu = u.data
+        dx = (xe - xu) % p
         f = (1, 0)
-        t = u.data
+        X, Y, Z = xu, yu, 1
         for bit in self._miller_bits:
-            xt, yt = t
-            lam = (3 * xt * xt + 1) * pow(2 * yt, -1, p) % p
-            line = (-(yt + lam * (xe - xt)) % p, yq)
+            if not (Y and Z):
+                # m*U is the identity or has order 2 for some m < q
+                raise ClakaError("pairing argument is not in the order-q subgroup")
+            # tangent at T, scaled by 2Y*Z^3: its slope is M / (2YZ)
+            YY = Y * Y % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + ZZ * ZZ) % p
+            Z3 = 2 * Y * Z % p
+            line = (-(2 * YY + M * (xe * ZZ - X)) % p, yq * Z3 * ZZ % p)
             f = self._f2_mul(self._f2_sqr(f), line)
-            t = self._ec_add(t, t)
+            S = 4 * X * YY % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+            Z = Z3
             if bit:
-                xt, yt = t
-                if xt == xu and (yt + yu) % p == 0:
-                    # final addition reaches q*U = identity through -U; the
-                    # connecting line is vertical, an F_p^* factor that the
-                    # final exponentiation erases
-                    t = None
+                ZZ = Z * Z % p
+                H = (xu * ZZ - X) % p
+                r = (yu * ZZ * Z - Y) % p
+                if not H:
+                    if not r:
+                        raise ClakaError("pairing argument is not in the order-q subgroup")
+                    # T = -U: the connecting line is vertical, an F_p^*
+                    # factor that the final exponentiation erases; T becomes
+                    # the identity, which only the final step may reach
+                    Z = 0
                     continue
-                lam = (yt - yu) * pow(xt - xu, -1, p) % p
-                line = (-(yu + lam * (xe - xu)) % p, yq)
+                # chord through T and U, scaled by H*Z: its slope is r / (HZ)
+                HZ = H * Z % p
+                line = (-(yu * HZ + r * dx) % p, yq * HZ % p)
                 f = self._f2_mul(f, line)
-                t = self._ec_add(t, u.data)
+                HH = H * H % p
+                HHH = H * HH % p
+                V = X * HH % p
+                X = (r * r - HHH - 2 * V) % p
+                Y = (r * (V - X) - Y * HHH) % p
+                Z = HZ
+        if Z:
+            raise ClakaError("pairing argument is not in the order-q subgroup")
         # final exponentiation: (p^2 - 1)/q = (p - 1) * cofactor, and
         # f^(p-1) = conj(f) / f via the Frobenius map
         frob = (f[0], -f[1] % p)

@@ -113,6 +113,9 @@ MALFORMED_REPORTS = {
     "top-level-list": [{"kind": "run", "config": {"protocol": "xcq11"}}],
     "identities-not-list": {"kind": "run", "config": {"protocol": "xcq11", "identities": 5}},
     "unknown-profile": {"kind": "run", "config": {"protocol": "xcq11", "profile": "nope"}},
+    "count-ops-no-config": {"kind": "count-ops"},
+    "identities-not-strings": {"kind": "run", "config": {"protocol": "xcq11", "identities": [1, 2, 3]}},
+    "identities-a-string": {"kind": "run", "config": {"protocol": "xcq11", "identities": "abc"}},
 }
 
 

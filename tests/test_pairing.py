@@ -6,10 +6,11 @@ import pytest
 
 from clakalab.errors import (
     BackendMismatchError,
+    ClakaError,
     DegenerateScalarError,
     EncodingError,
 )
-from clakalab.pairing import encode_parts, get_backend
+from clakalab.pairing import G1Point, encode_parts, get_backend
 
 BACKENDS = ("t1009", "t256", "c160")
 
@@ -260,6 +261,103 @@ def test_crypto_subgroup_check(c160):
     assert c160.g1_from_bytes(raw) is not None
     with pytest.raises(EncodingError):
         c160.g1_from_bytes(raw, strict=True)
+
+
+# -- curve arithmetic on the crypto profiles --------------------------------------
+
+# encodings on the crypto profiles: P, g, k*P (k = -1 is q - 1) and
+# pair(a*P, b*P); frozen before the curve code moved to Jacobian coordinates
+KNOWN_ANSWERS = {
+    "c160": {
+        "P": "040e79662e692d489de53d262e125071cea7c7cd388b409eed2788ff96fee70de7224770c0e992e76b4687",
+        "g": "424ac8c21382f6854e565647a8c33e0d7dd0fb3dac227a5cd1de003b580aeca637ecc819c784a0776dd6",
+        "mul": {
+            2: "043181ad31b6a5d0af7891bce4d1ec97c998633a76315ca43afa72f56d22e78beac42d791de17af929bb6d",
+            0xC1A4A: "0432b4c5747cf00184dba316a814dbb3feb0bc3dc79207f4dab3e68c2a3901a7eef87c44200834271b717e",
+            -1: "040e79662e692d489de53d262e125071cea7c7cd388b2b6112d87700690118f218ddb88f3f16d91894e990",
+        },
+        "pair": {
+            (3, 5): "42b9659d860ecc1de8a99fc08a7b4988ff0b38ca245286e130dd8afb908d5383228df4afbf7d024888c1",
+            (0xDEADBEEF, 0xC0FFEE): "42dbf1cd15e0ba22f53cf9e0205074c02760d1bf401cf6eaccad45a68c29891bde7f198a4194b6e62233",
+        },
+    },
+    "c256": {
+        "P": "0400ab402204f1e2bba0304eb8c001f6f3fd4fe65d7902ae6643bb07c0b06138e8e4c2008898585b9882ca9764ae7327a7cb829ba4bf58edda6a611765f927ab5ab700aca1",
+        "g": "013f70b7fbbc80ff2513f8f1a1c15b34188f8af5b8f8e7bbabbf020907f3f143c0c3005f3e9997323b636cea1cff4b6db04fab14642af185dac374725ec8a2dae1092574",
+        "mul": {
+            2: "04027987544a64b65b473edeb2578bde2ab8ac2f93aa8be6c1a0f2346edf36b5cfeb6e02e99f10e4a64f3b73763b90b804645290024ac28cabdfd9789d60d2d58f16863433",
+            0xC1A4A: "0402ae79aa0086fdf8a3f4756b19e76084199d37d8c98cd11d2556f77c93be3c6a1d78026d6d58516b62919d888a4303460c97011614844dc60abfcf1495f97366b66bd2fc",
+            -1: "0400ab402204f1e2bba0304eb8c001f6f3fd4fe65d7902ae6643bb07c0b06138e8e4c2029767a7a4677d35689b518cd858347d6062a31963095893a351783fccaff28b3e7e",
+        },
+        "pair": {
+            (3, 5): "017c283c427464b60e135c691ccca47c1e7e487fff5f13c59350bb47792fc15f7d1201b1a4df1754f09c8312536a57d2b7a6dd9b8eda74cf61bfffcfb7a5080814cd578c",
+            (0xDEADBEEF, 0xC0FFEE): "00dbf18f0e2e7ee1803fbb355f4389d7de4cc4c18e1942b51b37c7ecd0cdd19b504202a7748d0afb6b31f450d9f45ee456405d6ed995acf8e2628f7237ad7a990b17b90e",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("profile", sorted(KNOWN_ANSWERS))
+def test_crypto_known_answers(profile):
+    b = get_backend(profile)
+    expected = KNOWN_ANSWERS[profile]
+    assert b.P.to_bytes().hex() == expected["P"]
+    assert b.g.to_bytes().hex() == expected["g"]
+    for k, encoding in expected["mul"].items():
+        assert (b.scalar(k) * b.P).to_bytes().hex() == encoding
+    for (x, y), encoding in expected["pair"].items():
+        assert b.pair(b.scalar(x) * b.P, b.scalar(y) * b.P).to_bytes().hex() == encoding
+
+
+def _affine_mul(b, k, a):
+    # reference: right-to-left double-and-add on the affine group law
+    result = None
+    while k:
+        if k & 1:
+            result = b._ec_add(result, a)
+        a = b._ec_add(a, a)
+        k >>= 1
+    return result
+
+
+def _off_subgroup_points(b, count):
+    # curve points of smallest x outside the order-q subgroup
+    p = b.p
+    found = []
+    x = 0
+    while len(found) < count:
+        x += 1
+        t = (x * x * x + x) % p
+        if t and pow(t, (p - 1) // 2, p) == 1:
+            pt = (x, pow(t, (p + 1) // 4, p))
+            if _affine_mul(b, b.q, pt) is not None:
+                found.append(pt)
+    return found
+
+
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_ec_mul_matches_affine_reference(profile):
+    b = get_backend(profile)
+    rng = random.Random(f"ec-mul/{profile}")
+    q, h = b.q, b.cofactor
+    edges = [0, 1, 2, q - 1, q, q + 1, q + 2]
+    base = b.P.data
+    for k in edges + [rng.randrange(q) for _ in range(20)]:
+        assert b._ec_mul(k, base) == _affine_mul(b, k, base), k
+    # (0, 0) has order 2; the others leave the subgroup with various orders
+    for pt in [(0, 0)] + _off_subgroup_points(b, 4):
+        for k in edges + [h, q * h, h + 1, rng.randrange(q * h)]:
+            assert b._ec_mul(k, pt) == _affine_mul(b, k, pt), (pt, k)
+    assert b._ec_mul(q, None) is None
+
+
+def test_crypto_pair_rejects_points_outside_the_subgroup(c160):
+    # the Miller loop computes q*U, so pair checks its first argument
+    for data in [(0, 0)] + _off_subgroup_points(c160, 4):
+        point = G1Point(c160, data)
+        with pytest.raises(ClakaError, match="order-q subgroup"):
+            c160.pair(point, c160.P)
+    assert c160.pair(c160.P, c160.P) == c160.g
 
 
 def test_equal_points_encode_identically(t256):
