@@ -129,12 +129,8 @@ def _cmd_run(args) -> int:
     keyring = None
     if args.keys:
         keyring = _load_json(args.keys)
-        config = replace(
-            config,
-            profile=keyring.get("profile", config.profile),
-            identities=tuple(u["id"] for u in keyring.get("users", [])),
-            key_bits=int(keyring.get("key_bits", config.key_bits)),
-        )
+        profile, identities, key_bits = keyinfra.keyring_header(keyring)
+        config = replace(config, profile=profile, identities=identities, key_bits=key_bits)
     run = harness.run_honest_session(config, keyring=keyring)
     report = harness.build_run_report(run)
     if args.out:

@@ -88,6 +88,10 @@ class ScenarioConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise EncodingError(f"malformed scenario config: {exc!r}") from exc
+        if not (isinstance(config.protocol, str) and isinstance(config.profile, str)):
+            raise EncodingError("scenario protocol and profile must be strings")
+        if config.attack is not None and not isinstance(config.attack, str):
+            raise EncodingError("scenario attack must be a string or null")
         if config.profile not in PROFILE_NAMES:
             raise EncodingError(f"unknown profile {config.profile!r} in scenario config")
         return config

@@ -32,6 +32,7 @@ from typing import Mapping
 from .errors import DegenerateScalarError, EncodingError, ScenarioError
 from .pairing import (
     DEFAULT_KEY_BITS,
+    PROFILE_NAMES,
     G1Point,
     PairingBackend,
     Scalar,
@@ -240,17 +241,42 @@ def keyring_to_json(family: str, params: SystemParams, msk: MasterKey, users) ->
     }
 
 
+def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
+    """The profile, user identities and key length a keyring record names.
+
+    Checks the record's shape only, so a scenario can be configured from a
+    key file before its key material is decoded.
+    """
+    if not isinstance(record, Mapping):
+        raise EncodingError("malformed keyring record: not a JSON object")
+    users = record.get("users")
+    if not isinstance(users, list) or not all(isinstance(u, Mapping) and isinstance(u.get("id"), str) for u in users):
+        raise EncodingError("keyring users must be a list of objects with string ids")
+    profile = record.get("profile")
+    if profile not in PROFILE_NAMES:
+        raise EncodingError(f"unknown keyring profile {profile!r}")
+    key_bits = record.get("key_bits", DEFAULT_KEY_BITS)
+    if not isinstance(key_bits, int) or key_bits <= 0 or key_bits % 8:
+        raise EncodingError(f"keyring key_bits must be a positive multiple of 8, not {key_bits!r}")
+    return profile, tuple(u["id"] for u in users), key_bits
+
+
 def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, dict]:
-    """Rebuild key material from a keyring record, verifying partial keys."""
+    """Rebuild key material from a keyring record.
+
+    Verifies each partial key and that each user public key is the user's
+    secret value times Q_U (inverse-point) or P (inverse-scalar).
+    """
+    profile, _, key_bits = keyring_header(record)
     try:
         if record["schema"] != KEYRING_SCHEMA:
             raise EncodingError(f"unsupported keyring schema {record.get('schema')!r}")
         fam = record["protocol"]
-        backend = get_backend(record["profile"])
+        backend = get_backend(profile)
         params = SystemParams(
             backend,
             backend.g1_from_bytes(bytes.fromhex(record["params"]["p0"]), strict=True),
-            int(record.get("key_bits", DEFAULT_KEY_BITS)),
+            key_bits,
         )
         msk = MasterKey(backend.scalar_from_bytes(bytes.fromhex(record["kgc"]["x"])))
         users = {}
@@ -263,6 +289,7 @@ def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, di
                 full = backend.g1_from_bytes(bytes.fromhex(rec["full"]), strict=True)
                 user = Xcq11UserKeys(identity, partial, x_u, upk, full)
                 ok = xcq11_verify_partial(params, identity, partial)
+                upk_base = identity_point(params, identity)
             elif fam == "xcl12":
                 partial = Xcl12PartialKey(
                     backend.scalar_from_bytes(bytes.fromhex(rec["partial_s"])),
@@ -270,10 +297,13 @@ def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, di
                 )
                 user = Xcl12UserKeys(identity, partial, x_u, upk)
                 ok = xcl12_verify_partial(params, identity, partial)
+                upk_base = backend.P
             else:
                 raise EncodingError(f"unknown keyring protocol {fam!r}")
             if not ok:
                 raise EncodingError(f"partial key of {rec['id']!r} fails verification")
+            if x_u * upk_base != upk:
+                raise EncodingError(f"public key of {rec['id']!r} does not match its secret value")
             users[identity] = user
         return fam, params, msk, users
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -416,24 +416,23 @@ class TransparentBackend(PairingBackend):
         return z.data
 
 
-_JAC_IDENTITY = (1, 1, 0)
-
-
 class SupersingularBackend(PairingBackend):
     """Tate pairing on the supersingular curve y^2 = x^3 + x over F_p.
 
     G1 points are stored as affine pairs (x, y) with ``None`` for the
-    identity, but multiplied and paired in Jacobian coordinates (X, Y, Z),
-    x = X/Z^2 and y = Y/Z^3, with mixed additions of the affine base, so
-    each scalar multiplication and each Miller loop makes one field
-    inversion.  G2 elements live in the order-q subgroup of
+    identity.  Scalar multiplication and the Miller loop share one
+    double-and-add loop in Jacobian coordinates (X, Y, Z), x = X/Z^2 and
+    y = Y/Z^3, with mixed additions of the affine base and one field
+    inversion each.  G2 elements live in the order-q subgroup of
     F_p^2 = F_p[i] (i^2 = -1) and are stored as coefficient pairs (c0, c1).
     The second pairing argument is passed through the distortion map
     psi(x, y) = (-x, i*y); because the x-coordinate of a distorted point
-    stays in F_p, all vertical-line factors of the Miller loop land in
-    F_p^* and are erased by the final exponentiation (p - 1)*h, so they are
-    skipped.  The same exponent erases the F_p^* factor each line is scaled
-    by to clear its Jacobian denominators.
+    stays in F_p, every vertical line lands in F_p^* and is erased by the
+    final exponentiation (p - 1)*h, as is the F_p^* factor each line is
+    scaled by to clear its Jacobian denominators.  So the denominators are
+    dropped, and the vertical chord of the last step (T = -U) is multiplied
+    in and erased, not skipped.  The loop's group law is exact, so the
+    Miller loop ends at q*U, and one check rejects a U outside the subgroup.
     """
 
     backend_id = "crypto"
@@ -445,7 +444,6 @@ class SupersingularBackend(PairingBackend):
         if self.p % 4 != 3:
             raise ClakaError("field prime must be 3 mod 4")
         self.point_width = (self.p.bit_length() + 7) // 8
-        self._miller_bits = [int(b) for b in bin(q)[3:]]
         self.P = G1Point(self, self._find_generator())
         self.g = self.pair(self.P, self.P)
         if self.g.is_identity():
@@ -490,48 +488,65 @@ class SupersingularBackend(PairingBackend):
             return None
         return (a[0], -a[1] % self.p)
 
-    # Jacobian points (X, Y, Z) stand for (X/Z^2, Y/Z^3); Z = 0 is the identity
+    def _ladder(self, k, a, at=None):
+        """Left-to-right double-and-add: T = k*a for k >= 1 and an affine a.
 
-    def _jac_double(self, t):
+        Returns T as (X, Y, Z), Z = 0 for the identity, and f.  Given
+        ``at = (xe, yq)`` the loop is Miller's algorithm, and f is the
+        product of its lines at psi(V) = (xe, i*yq); otherwise f is None.
+        """
         p = self.p
-        X, Y, Z = t
-        if not (Y and Z):  # the identity, or a point of order 2
-            return _JAC_IDENTITY
-        YY = Y * Y % p
-        ZZ = Z * Z % p
-        M = (3 * X * X + ZZ * ZZ) % p  # 3x^2 + a with a = 1, times Z^4
-        S = 4 * X * YY % p
-        X3 = (M * M - 2 * S) % p
-        return (X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p)
-
-    def _jac_add(self, t, a):
-        """t + a for a Jacobian t and an affine a other than the identity."""
-        p = self.p
-        X, Y, Z = t
         xa, ya = a
-        if not Z:
-            return (xa, ya, 1)
-        ZZ = Z * Z % p
-        H = (xa * ZZ - X) % p
-        r = (ya * ZZ * Z - Y) % p
-        if not H:
-            return self._jac_double(t) if not r else _JAC_IDENTITY
-        HH = H * H % p
-        HHH = H * HH % p
-        V = X * HH % p
-        X3 = (r * r - HHH - 2 * V) % p
-        return (X3, (r * (V - X3) - Y * HHH) % p, Z * H % p)
+        X, Y, Z = xa, ya, 1
+        f = None
+        if at is not None:
+            xe, yq = at
+            dx = (xe - xa) % p
+            f = (1, 0)
+        # every bit doubles T ("0"); a set bit then adds a ("1")
+        for step in bin(k)[3:].replace("1", "01"):
+            if step == "1":
+                if not Z:  # T = O restarts at a
+                    X, Y, Z = xa, ya, 1
+                    continue
+                ZZ = Z * Z % p
+                H = (xa * ZZ - X) % p
+                r = (ya * ZZ * Z - Y) % p
+                if H or r:
+                    # chord through T and a, scaled by H*Z: its slope is
+                    # r / (HZ).  H = 0 (T = -a) gives Z = 0 and the vertical
+                    # line (-r*(xe - xa), 0) in F_p^*
+                    HZ = H * Z % p
+                    if f is not None:
+                        f = self._f2_mul(f, (-(ya * HZ + r * dx) % p, yq * HZ % p))
+                    HH = H * H % p
+                    HHH = H * HH % p
+                    V = X * HH % p
+                    X = (r * r - HHH - 2 * V) % p
+                    Y = (r * (V - X) - Y * HHH) % p
+                    Z = HZ
+                    continue
+                # T = a: double it (in a Miller loop, only if a has order < q)
+            # tangent at T, scaled by 2Y*Z^3: its slope is M / (2YZ).  Y = 0
+            # (order 2) or Z = 0 (T = O) gives Z = 0
+            YY = Y * Y % p
+            ZZ = Z * Z % p
+            M = (3 * X * X + ZZ * ZZ) % p  # 3x^2 + a with a = 1, times Z^4
+            Z3 = 2 * Y * Z % p
+            if f is not None:
+                line = (-(2 * YY + M * (xe * ZZ - X)) % p, yq * Z3 * ZZ % p)
+                f = self._f2_mul(self._f2_sqr(f), line)
+            S = 4 * X * YY % p
+            X = (M * M - 2 * S) % p
+            Y = (M * (S - X) - 8 * YY * YY) % p
+            Z = Z3
+        return (X, Y, Z), f
 
     def _ec_mul(self, k, a):
-        # left-to-right double-and-add; the only inversion leaves Jacobian form
+        # the only inversion leaves Jacobian form
         if not k or a is None:
             return None
-        t = (a[0], a[1], 1)
-        for bit in bin(k)[3:]:
-            t = self._jac_double(t)
-            if bit == "1":
-                t = self._jac_add(t, a)
-        X, Y, Z = t
+        (X, Y, Z), _ = self._ladder(k, a)
         if not Z:
             return None
         p = self.p
@@ -615,48 +630,7 @@ class SupersingularBackend(PairingBackend):
             return self.g2_identity()
         p = self.p
         xq, yq = v.data
-        xe = -xq % p  # x-coordinate of psi(V); stays in F_p
-        xu, yu = u.data
-        dx = (xe - xu) % p
-        f = (1, 0)
-        X, Y, Z = xu, yu, 1
-        for bit in self._miller_bits:
-            if not (Y and Z):
-                # m*U is the identity or has order 2 for some m < q
-                raise ClakaError("pairing argument is not in the order-q subgroup")
-            # tangent at T, scaled by 2Y*Z^3: its slope is M / (2YZ)
-            YY = Y * Y % p
-            ZZ = Z * Z % p
-            M = (3 * X * X + ZZ * ZZ) % p
-            Z3 = 2 * Y * Z % p
-            line = (-(2 * YY + M * (xe * ZZ - X)) % p, yq * Z3 * ZZ % p)
-            f = self._f2_mul(self._f2_sqr(f), line)
-            S = 4 * X * YY % p
-            X = (M * M - 2 * S) % p
-            Y = (M * (S - X) - 8 * YY * YY) % p
-            Z = Z3
-            if bit:
-                ZZ = Z * Z % p
-                H = (xu * ZZ - X) % p
-                r = (yu * ZZ * Z - Y) % p
-                if not H:
-                    if not r:
-                        raise ClakaError("pairing argument is not in the order-q subgroup")
-                    # T = -U: the connecting line is vertical, an F_p^*
-                    # factor that the final exponentiation erases; T becomes
-                    # the identity, which only the final step may reach
-                    Z = 0
-                    continue
-                # chord through T and U, scaled by H*Z: its slope is r / (HZ)
-                HZ = H * Z % p
-                line = (-(yu * HZ + r * dx) % p, yq * HZ % p)
-                f = self._f2_mul(f, line)
-                HH = H * H % p
-                HHH = H * HH % p
-                V = X * HH % p
-                X = (r * r - HHH - 2 * V) % p
-                Y = (r * (V - X) - Y * HHH) % p
-                Z = HZ
+        (_, _, Z), f = self._ladder(self.q, u.data, (-xq % p, yq))  # psi(V) = (-xq, i*yq)
         if Z:
             raise ClakaError("pairing argument is not in the order-q subgroup")
         # final exponentiation: (p^2 - 1)/q = (p - 1) * cofactor, and

@@ -116,6 +116,8 @@ MALFORMED_REPORTS = {
     "count-ops-no-config": {"kind": "count-ops"},
     "identities-not-strings": {"kind": "run", "config": {"protocol": "xcq11", "identities": [1, 2, 3]}},
     "identities-a-string": {"kind": "run", "config": {"protocol": "xcq11", "identities": "abc"}},
+    "attack-a-list": {"kind": "attack", "config": {"protocol": "xcq11", "attack": ["kci"]}},
+    "protocol-a-list": {"kind": "run", "config": {"protocol": ["xcq11"]}},
 }
 
 
@@ -126,3 +128,50 @@ def test_malformed_report_is_io_error(tmp_path, capsys, case, command):
     path.write_text(json.dumps(MALFORMED_REPORTS[case]))
     assert run_cli(*command, str(path)) == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+def _assert_keyring_rejected(tmp_path, capsys, protocol, corrupt):
+    # the corrupted keyring fails as a key file and inside a run report
+    good_keys, bad_keys, report = (tmp_path / n for n in ("good.json", "bad.json", "run.json"))
+    assert run_cli("keygen", "--protocol", protocol, "--seed", "4", "--out", str(good_keys)) == 0
+    assert run_cli("run", "--protocol", protocol, "--keys", str(good_keys), "--out", str(report)) == 0
+    keyring = corrupt(json.loads(good_keys.read_text()))
+    bad_keys.write_text(json.dumps(keyring))
+    capsys.readouterr()
+    assert run_cli("run", "--protocol", protocol, "--keys", str(bad_keys)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    stored = json.loads(report.read_text())
+    stored["keyring"] = keyring
+    report.write_text(json.dumps(stored))
+    assert run_cli("replay", str(report)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+def _with_first_user(ring, **fields):
+    return {**ring, "users": [{**ring["users"][0], **fields}, *ring["users"][1:]]}
+
+
+MALFORMED_KEYRINGS = {
+    "top-level-list": lambda ring: [ring],
+    "users-not-objects": lambda ring: {**ring, "users": [5]},
+    "users-an-object": lambda ring: {**ring, "users": {u["id"]: u for u in ring["users"]}},
+    "key-bits-not-int": lambda ring: {**ring, "key_bits": "x"},
+    "key-bits-negative": lambda ring: {**ring, "key_bits": -8},
+    "key-bits-not-whole-bytes": lambda ring: {**ring, "key_bits": 12},
+    "id-not-string": lambda ring: _with_first_user(ring, id=5),
+    "unknown-profile": lambda ring: {**ring, "profile": "nope"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_KEYRINGS))
+def test_malformed_keyring_is_io_error(tmp_path, capsys, case):
+    _assert_keyring_rejected(tmp_path, capsys, "xcq11", MALFORMED_KEYRINGS[case])
+
+
+@pytest.mark.parametrize("protocol", ["xcq11", "xcl12"])
+def test_keyring_with_another_users_secret_value_is_io_error(tmp_path, capsys, protocol):
+    # every part still decodes and every partial key verifies
+    def copy_x(ring):
+        return _with_first_user(ring, x=ring["users"][1]["x"])
+
+    _assert_keyring_rejected(tmp_path, capsys, protocol, copy_x)

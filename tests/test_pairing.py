@@ -351,13 +351,15 @@ def test_ec_mul_matches_affine_reference(profile):
     assert b._ec_mul(q, None) is None
 
 
-def test_crypto_pair_rejects_points_outside_the_subgroup(c160):
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_crypto_pair_rejects_points_outside_the_subgroup(profile):
     # the Miller loop computes q*U, so pair checks its first argument
-    for data in [(0, 0)] + _off_subgroup_points(c160, 4):
-        point = G1Point(c160, data)
+    b = get_backend(profile)
+    for data in [(0, 0)] + _off_subgroup_points(b, 4):
+        point = G1Point(b, data)
         with pytest.raises(ClakaError, match="order-q subgroup"):
-            c160.pair(point, c160.P)
-    assert c160.pair(c160.P, c160.P) == c160.g
+            b.pair(point, b.P)
+    assert b.pair(b.P, b.P) == b.g
 
 
 def test_equal_points_encode_identically(t256):
