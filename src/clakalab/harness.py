@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 from . import attacks, keyinfra, wire, xcl12, xcq11
 from .errors import EncodingError, ScenarioError, SignatureInvalidError
 from .keyinfra import SystemParams, setup
-from .pairing import DEFAULT_KEY_BITS, PROFILE_NAMES, get_backend
+from .pairing import DEFAULT_KEY_BITS, KEY_BITS_RULE, PROFILE_NAMES, get_backend, valid_key_bits
 from .session import (
     PROTOCOL_VARIANTS,
     PartyPublic,
@@ -56,8 +56,8 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"attack {self.attack!r} is not defined for protocol {self.protocol!r}"
             )
-        if self.key_bits % 8 or self.key_bits <= 0:
-            raise ScenarioError("key_bits must be a positive multiple of 8")
+        if not valid_key_bits(self.key_bits):
+            raise ScenarioError(f"key_bits must be {KEY_BITS_RULE}, not {self.key_bits!r}")
 
     def to_json(self) -> dict:
         return {
@@ -77,16 +77,22 @@ class ScenarioConfig:
         identities = obj.get("identities", list(DEFAULT_IDENTITIES))
         if not isinstance(identities, list) or not all(isinstance(i, str) for i in identities):
             raise EncodingError("scenario identities must be a list of strings")
+        seed = obj.get("seed", 0)
+        if type(seed) is not int:
+            raise EncodingError(f"scenario seed must be an integer, not {seed!r}")
+        key_bits = obj.get("key_bits", DEFAULT_KEY_BITS)
+        if not valid_key_bits(key_bits):
+            raise EncodingError(f"scenario key_bits must be {KEY_BITS_RULE}, not {key_bits!r}")
         try:
             config = cls(
                 protocol=obj["protocol"] if protocol is None else protocol,
                 profile=obj.get("profile", DEFAULT_PROFILE),
-                seed=int(obj.get("seed", 0)),
+                seed=seed,
                 identities=tuple(identities),
                 attack=obj.get("attack"),
-                key_bits=int(obj.get("key_bits", DEFAULT_KEY_BITS)),
+                key_bits=key_bits,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise EncodingError(f"malformed scenario config: {exc!r}") from exc
         if not (isinstance(config.protocol, str) and isinstance(config.profile, str)):
             raise EncodingError("scenario protocol and profile must be strings")
@@ -122,6 +128,8 @@ def materialize(config: ScenarioConfig, keyring: Optional[Mapping] = None) -> Wo
             raise ScenarioError("key file profile does not match the scenario profile")
         if set(users) != set(ids):
             raise ScenarioError("key file identities do not match the scenario identities")
+        if params.key_bits != config.key_bits:
+            raise ScenarioError("key file key_bits does not match the scenario key_bits")
         return World(config, params.backend, params, msk, users, keyring=dict(keyring))
     backend = get_backend(config.profile)
     params, msk = setup(backend, rng_for(config.seed, "setup"), config.key_bits)

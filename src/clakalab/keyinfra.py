@@ -32,12 +32,14 @@ from typing import Mapping
 from .errors import DegenerateScalarError, EncodingError, ScenarioError
 from .pairing import (
     DEFAULT_KEY_BITS,
+    KEY_BITS_RULE,
     PROFILE_NAMES,
     G1Point,
     PairingBackend,
     Scalar,
     encode_parts,
     get_backend,
+    valid_key_bits,
 )
 
 # domain tags for the protocol hash functions
@@ -256,8 +258,8 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
     if profile not in PROFILE_NAMES:
         raise EncodingError(f"unknown keyring profile {profile!r}")
     key_bits = record.get("key_bits", DEFAULT_KEY_BITS)
-    if not isinstance(key_bits, int) or key_bits <= 0 or key_bits % 8:
-        raise EncodingError(f"keyring key_bits must be a positive multiple of 8, not {key_bits!r}")
+    if not valid_key_bits(key_bits):
+        raise EncodingError(f"keyring key_bits must be {KEY_BITS_RULE}, not {key_bits!r}")
     return profile, tuple(u["id"] for u in users), key_bits
 
 

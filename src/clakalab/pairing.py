@@ -30,9 +30,11 @@ choices; the point is exact, reproducible protocol algebra.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import struct
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -43,6 +45,16 @@ from .errors import (
 )
 
 DEFAULT_KEY_BITS = 256
+#: longest session key a scenario or key file may ask for, since the KDF
+#: allocates the whole key at once
+MAX_KEY_BITS = 4096
+KEY_BITS_RULE = f"a positive multiple of 8, at most {MAX_KEY_BITS}"
+
+
+def valid_key_bits(value) -> bool:
+    """Whether ``value`` is an integer (never a bool) that is ``KEY_BITS_RULE``."""
+    return type(value) is int and 0 < value <= MAX_KEY_BITS and value % 8 == 0
+
 
 # Small prime for eyeball-checkable transparent runs.
 _Q_SMALL = 1009
@@ -148,6 +160,43 @@ class Scalar:
 ScalarLike = Union[Scalar, int]
 
 
+@dataclass
+class OpCounter:
+    """Group-operation counts taken by ``metered``."""
+
+    point_adds: int = 0
+    scalar_muls: int = 0
+    pairings: int = 0
+    g2_exps: int = 0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    def delta(self, other: "OpCounter") -> dict:
+        return {k: other.as_dict()[k] - v for k, v in self.as_dict().items()}
+
+
+#: the counter of the innermost open ``metered`` block, if any
+_meter: Optional[OpCounter] = None
+
+
+@contextlib.contextmanager
+def metered(counter: Optional[OpCounter]):
+    """Count the group operations run inside the block into ``counter``.
+
+    Counted are G1 additions and subtractions, G1 scalar multiplications and
+    G2 exponentiations, at the element operators, and each ``pair`` call.  A
+    nested block counts toward its own counter only (``None``: nowhere); the
+    outer one resumes when it exits.
+    """
+    global _meter
+    outer, _meter = _meter, counter
+    try:
+        yield
+    finally:
+        _meter = outer
+
+
 class G1Point:
     """Element of the additive source group G1."""
 
@@ -165,13 +214,19 @@ class G1Point:
         return other
 
     def __add__(self, other):
-        return self.backend._g1_add(self, self._peer(other))
+        other = self._peer(other)
+        if _meter is not None:
+            _meter.point_adds += 1
+        return G1Point(self.backend, self.backend._g1_add(self.data, other.data))
 
     def __sub__(self, other):
-        return self.backend._g1_add(self, self.backend._g1_neg(self._peer(other)))
+        other = self._peer(other)
+        if _meter is not None:
+            _meter.point_adds += 1
+        return G1Point(self.backend, self.backend._g1_add(self.data, self.backend._g1_neg(other.data)))
 
     def __neg__(self):
-        return self.backend._g1_neg(self)
+        return G1Point(self.backend, self.backend._g1_neg(self.data))
 
     def _scale(self, k) -> "G1Point":
         if isinstance(k, Scalar):
@@ -182,7 +237,9 @@ class G1Point:
             k %= self.backend.q
         else:
             return NotImplemented
-        return self.backend._g1_mul(k, self)
+        if _meter is not None:
+            _meter.scalar_muls += 1
+        return G1Point(self.backend, self.backend._g1_mul(k, self.data))
 
     __mul__ = _scale
     __rmul__ = _scale
@@ -199,7 +256,7 @@ class G1Point:
         return f"G1Point({self.to_bytes().hex()[:16]}...)"
 
     def is_identity(self) -> bool:
-        return self.backend._g1_is_identity(self)
+        return self.data == self.backend.g1_identity().data
 
     def to_bytes(self) -> bytes:
         return self.backend.g1_to_bytes(self)
@@ -219,7 +276,7 @@ class G2Elem:
             return NotImplemented
         if other.backend is not self.backend:
             raise BackendMismatchError("G2 elements belong to different backends")
-        return self.backend._g2_mul(self, other)
+        return G2Elem(self.backend, self.backend._g2_mul(self.data, other.data))
 
     def __pow__(self, k):
         if isinstance(k, Scalar):
@@ -230,7 +287,9 @@ class G2Elem:
             k %= self.backend.q
         else:
             return NotImplemented
-        return self.backend._g2_pow(self, k)
+        if _meter is not None:
+            _meter.g2_exps += 1
+        return G2Elem(self.backend, self.backend._g2_pow(self.data, k))
 
     def __eq__(self, other):
         if isinstance(other, G2Elem):
@@ -244,7 +303,7 @@ class G2Elem:
         return f"G2Elem({self.to_bytes().hex()[:16]}...)"
 
     def is_identity(self) -> bool:
-        return self.backend._g2_is_identity(self)
+        return self.data == self.backend.g2_identity().data
 
     def to_bytes(self) -> bytes:
         return self.backend.g2_to_bytes(self)
@@ -255,7 +314,9 @@ class PairingBackend:
 
     Concrete attributes set by subclasses: ``q`` (group order), ``P``
     (generator of G1), ``g`` (= e(P, P), generator of G2), ``backend_id``,
-    ``profile``, ``supports_dlog``.
+    ``profile``, ``supports_dlog``; and the group law on element data that
+    the element operators call: ``_g1_add``, ``_g1_neg``, ``_g1_mul``,
+    ``_g2_mul``, ``_g2_pow``.
     """
 
     backend_id = "abstract"
@@ -335,10 +396,13 @@ class PairingBackend:
         raise ClakaError("discrete logs are exposed by the transparent backend only")
 
     def _check_pair_args(self, u: G1Point, v: G1Point) -> None:
+        """Check the arguments of one ``pair`` call, then count the pairing."""
         if not (isinstance(u, G1Point) and isinstance(v, G1Point)):
             raise BackendMismatchError("pairing arguments must be G1 points")
         if u.backend is not self or v.backend is not self:
             raise BackendMismatchError("pairing arguments belong to a different backend")
+        if _meter is not None:
+            _meter.pairings += 1
 
 
 class TransparentBackend(PairingBackend):
@@ -362,26 +426,19 @@ class TransparentBackend(PairingBackend):
     def g2_identity(self) -> G2Elem:
         return G2Elem(self, 0)
 
-    def _g1_add(self, u, v):
-        return G1Point(self, (u.data + v.data) % self.q)
+    def _g1_add(self, a, b):
+        return (a + b) % self.q
 
-    def _g1_neg(self, u):
-        return G1Point(self, -u.data % self.q)
+    def _g1_neg(self, a):
+        return -a % self.q
 
-    def _g1_mul(self, k, u):
-        return G1Point(self, k * u.data % self.q)
+    def _g1_mul(self, k, a):
+        return k * a % self.q
 
-    def _g1_is_identity(self, u):
-        return u.data == 0
-
-    def _g2_mul(self, a, b):
-        return G2Elem(self, (a.data + b.data) % self.q)
+    _g2_mul = _g1_add  # G2 elements are exponents too
 
     def _g2_pow(self, a, k):
-        return G2Elem(self, k * a.data % self.q)
-
-    def _g2_is_identity(self, z):
-        return z.data == 0
+        return k * a % self.q
 
     def pair(self, u, v):
         self._check_pair_args(u, v)
@@ -598,26 +655,8 @@ class SupersingularBackend(PairingBackend):
     def g2_identity(self):
         return G2Elem(self, (1, 0))
 
-    def _g1_add(self, u, v):
-        return G1Point(self, self._ec_add(u.data, v.data))
-
-    def _g1_neg(self, u):
-        return G1Point(self, self._ec_neg(u.data))
-
-    def _g1_mul(self, k, u):
-        return G1Point(self, self._ec_mul(k, u.data))
-
-    def _g1_is_identity(self, u):
-        return u.data is None
-
-    def _g2_mul(self, a, b):
-        return G2Elem(self, self._f2_mul(a.data, b.data))
-
-    def _g2_pow(self, a, k):
-        return G2Elem(self, self._f2_pow(a.data, k))
-
-    def _g2_is_identity(self, z):
-        return z.data == (1, 0)
+    _g1_add, _g1_neg, _g1_mul = _ec_add, _ec_neg, _ec_mul
+    _g2_mul, _g2_pow = _f2_mul, _f2_pow
 
     def pair(self, u, v):
         """Reduced Tate pairing e(U, psi(V)) with denominator elimination.

@@ -21,19 +21,20 @@ ephemerals and long-term scalars at once:
        = e(P, P)^((a + x_A)(b + x_B)(c + x_C))
 
 where base_V = R_V + H1(ID_V || R_V) * P0 = s_V^-1 * P is already in hand
-from round one.  Group operations are counted at this layer (never inside
-the pairing backend) so the cost of the repair is directly measurable: it
-is four extra point additions per party and nothing else.
+from round one.  Group operations run inside ``metered(counter)`` and are
+counted at the element operators, never in the curve arithmetic, so the
+cost of the repair is directly measurable: it is four extra point additions
+per party and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MissingTranscriptFieldError
 from .keyinfra import XCL12_H2, SystemParams, Xcl12UserKeys, masked_base
-from .pairing import G1Point, G2Elem, Scalar
+from .pairing import G1Point, G2Elem, OpCounter, Scalar, metered
 from .session import PairwiseView, SessionKey
 
 
@@ -51,30 +52,6 @@ class SharedValues:
     k1: G1Point
     k2: G2Elem
     k3: G2Elem
-
-
-@dataclass
-class OpCounter:
-    """Per-party group-operation counts at the protocol layer."""
-
-    point_adds: int = 0
-    scalar_muls: int = 0
-    pairings: int = 0
-    g2_exps: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    def delta(self, other: "OpCounter") -> dict:
-        return {k: other.as_dict()[k] - v for k, v in self.as_dict().items()}
-
-
-def _bump(counter, adds=0, muls=0, pairs=0, exps=0):
-    if counter is not None:
-        counter.point_adds += adds
-        counter.scalar_muls += muls
-        counter.pairings += pairs
-        counter.g2_exps += exps
 
 
 @dataclass(frozen=True)
@@ -98,14 +75,9 @@ Xcl12View = PairwiseView
 def round1(params: SystemParams, peers: Sequence[Announcement], rng, counter: OpCounter | None = None) -> Xcl12Flow:
     """Mask one fresh ephemeral toward each peer's base point."""
     u = params.backend.random_scalar(rng)
-    t_out = {}
-    bases = {}
-    for peer in peers:
-        base = masked_base(params, peer.identity, peer.r_point)
-        _bump(counter, adds=1, muls=1)
-        t_out[peer.identity] = u * base
-        _bump(counter, muls=1)
-        bases[peer.identity] = base
+    with metered(counter):
+        bases = {peer.identity: masked_base(params, peer.identity, peer.r_point) for peer in peers}
+        t_out = {identity: u * base for identity, base in bases.items()}
     return Xcl12Flow(u, t_out, bases)
 
 
@@ -119,7 +91,7 @@ def session_key(params: SystemParams, view: Xcl12View, shared: SharedValues) -> 
     return params.backend.kdf(XCL12_H2, parts, params.key_bits)
 
 
-def _session_inputs(params, own, flow, view, counter):
+def _session_inputs(params, own, flow, view):
     """Common prefix of both derivations: unmask peers and build k1."""
     view.require_complete()
     backend = params.backend
@@ -127,13 +99,8 @@ def _session_inputs(params, own, flow, view, counter):
     if len(peers) != 2:
         raise MissingTranscriptFieldError(f"own identity {own.identity!r} not in the session view")
     own_point = flow.ephemeral * backend.P
-    _bump(counter, muls=1)
-    unmasked = {}
-    for peer in peers:
-        unmasked[peer.identity] = own.partial.s_u * view.t[(peer.identity, own.identity)]
-        _bump(counter, muls=1)
+    unmasked = {peer.identity: own.partial.s_u * view.t[(peer.identity, own.identity)] for peer in peers}
     k1 = own_point + unmasked[peers[0].identity] + unmasked[peers[1].identity]
-    _bump(counter, adds=2)
     return backend, peers, unmasked, k1
 
 
@@ -144,12 +111,10 @@ def derive(
     view: Xcl12View,
     counter: OpCounter | None = None,
 ) -> tuple[SharedValues, SessionKey]:
-    backend, peers, unmasked, k1 = _session_inputs(params, own, flow, view, counter)
-    v, w = peers
-    k2 = backend.pair(unmasked[v.identity], unmasked[w.identity]) ** flow.ephemeral
-    _bump(counter, pairs=1, exps=1)
-    k3 = backend.pair(v.upk, w.upk) ** own.secret_value
-    _bump(counter, pairs=1, exps=1)
+    with metered(counter):
+        backend, (v, w), unmasked, k1 = _session_inputs(params, own, flow, view)
+        k2 = backend.pair(unmasked[v.identity], unmasked[w.identity]) ** flow.ephemeral
+        k3 = backend.pair(v.upk, w.upk) ** own.secret_value
     shared = SharedValues(k1, k2, k3)
     return shared, SessionKey(session_key(params, view, shared), shared)
 
@@ -161,17 +126,13 @@ def improved_derive(
     view: Xcl12View,
     counter: OpCounter | None = None,
 ) -> tuple[SharedValues, SessionKey]:
-    backend, peers, unmasked, k1 = _session_inputs(params, own, flow, view, counter)
-    v, w = peers
-    arg_v = unmasked[v.identity] + flow.peer_bases[v.identity]
-    arg_w = unmasked[w.identity] + flow.peer_bases[w.identity]
-    _bump(counter, adds=2)
-    k2 = backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.partial.s_u.inverse())
-    _bump(counter, pairs=1, exps=1)
-    arg_v = unmasked[v.identity] + v.upk
-    arg_w = unmasked[w.identity] + w.upk
-    _bump(counter, adds=2)
-    k3 = backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.secret_value)
-    _bump(counter, pairs=1, exps=1)
+    with metered(counter):
+        backend, (v, w), unmasked, k1 = _session_inputs(params, own, flow, view)
+        arg_v = unmasked[v.identity] + flow.peer_bases[v.identity]
+        arg_w = unmasked[w.identity] + flow.peer_bases[w.identity]
+        k2 = backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.partial.s_u.inverse())
+        arg_v = unmasked[v.identity] + v.upk
+        arg_w = unmasked[w.identity] + w.upk
+        k3 = backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.secret_value)
     shared = SharedValues(k1, k2, k3)
     return shared, SessionKey(session_key(params, view, shared), shared)

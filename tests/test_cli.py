@@ -118,6 +118,9 @@ MALFORMED_REPORTS = {
     "identities-a-string": {"kind": "run", "config": {"protocol": "xcq11", "identities": "abc"}},
     "attack-a-list": {"kind": "attack", "config": {"protocol": "xcq11", "attack": ["kci"]}},
     "protocol-a-list": {"kind": "run", "config": {"protocol": ["xcq11"]}},
+    "seed-a-float": {"kind": "run", "config": {"protocol": "xcq11", "seed": 1.5}},
+    "key-bits-a-string": {"kind": "run", "config": {"protocol": "xcq11", "key_bits": "256"}},
+    "key-bits-huge": {"kind": "run", "config": {"protocol": "xcq11", "key_bits": 2**70}},
 }
 
 
@@ -158,6 +161,7 @@ MALFORMED_KEYRINGS = {
     "key-bits-not-int": lambda ring: {**ring, "key_bits": "x"},
     "key-bits-negative": lambda ring: {**ring, "key_bits": -8},
     "key-bits-not-whole-bytes": lambda ring: {**ring, "key_bits": 12},
+    "key-bits-huge": lambda ring: {**ring, "key_bits": 2**70},
     "id-not-string": lambda ring: _with_first_user(ring, id=5),
     "unknown-profile": lambda ring: {**ring, "profile": "nope"},
 }

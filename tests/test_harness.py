@@ -122,6 +122,8 @@ def test_keyring_mismatches_rejected():
             ScenarioConfig(protocol="xcl12", profile="t256", seed=4, identities=("x", "y", "z")),
             keyring=ring,
         )
+    with pytest.raises(ScenarioError):
+        harness.materialize(ScenarioConfig(protocol="xcl12", profile="t256", seed=4, key_bits=128), keyring=ring)
 
 
 def test_corrupted_full_key_aborts_improved_run():
@@ -161,6 +163,11 @@ def test_count_operations_report():
         assert counts["delta"] == {"point_adds": 4, "scalar_muls": 0, "pairings": 0, "g2_exps": 0}
     match, _ = harness.replay_report(report)
     assert match
+
+
+def test_count_operations_same_on_the_curve_as_on_residues():
+    # the counts come from the element operators, whichever backend is below them
+    assert harness.count_operations(profile="c160")["parties"] == harness.count_operations(profile="t1009")["parties"]
 
 
 def test_machine_phases_monotone():

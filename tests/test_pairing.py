@@ -10,7 +10,7 @@ from clakalab.errors import (
     DegenerateScalarError,
     EncodingError,
 )
-from clakalab.pairing import G1Point, encode_parts, get_backend
+from clakalab.pairing import G1Point, OpCounter, encode_parts, get_backend, metered
 
 BACKENDS = ("t1009", "t256", "c160")
 
@@ -120,6 +120,30 @@ def test_g2_group_ops():
         assert z * w == b.g ** 17
         assert z ** b.scalar(2) == b.g ** 24
         assert (b.g ** b.q).is_identity()
+
+
+def test_metered_counts_inside_its_own_block_only():
+    b = get_backend("t1009")
+    P = b.P
+    outer, inner = OpCounter(), OpCounter()
+    P + P
+    with metered(outer):
+        P + P
+        with metered(inner):
+            P - P
+            -P  # negation, G2 multiplication and hashing are not counted
+            b.g * b.g
+            b.hash_to_scalar(b"H", b"x")
+            b.pair(3 * P, P) ** 2
+        P * 5
+        with metered(None):
+            P + P
+        with pytest.raises(BackendMismatchError), metered(inner):
+            P + get_backend("t256").P
+        b.pair(P, P)
+    b.pair(P, P) ** 3
+    assert outer.as_dict() == {"point_adds": 1, "scalar_muls": 1, "pairings": 1, "g2_exps": 0}
+    assert inner.as_dict() == {"point_adds": 1, "scalar_muls": 1, "pairings": 1, "g2_exps": 1}
 
 
 # -- hash_to_scalar ------------------------------------------------------------
