@@ -186,6 +186,11 @@ def judge_outcome(
     )
 
 
+def _unmask_ab(backend, view, a, b, s_a, s_b):
+    """e(T_AB, S_B) * e(T_BA, S_A): the part of the shared value S_A and S_B unmask."""
+    return backend.pair(view.t[(a, b)], s_b) * backend.pair(view.t[(b, a)], s_a)
+
+
 def _dlog_details(backend, **elements) -> dict:
     """Discrete logs of intermediate values; transparent backend only."""
     if not backend.supports_dlog:
@@ -214,20 +219,13 @@ def forward_secrecy_attack(params: SystemParams, knowledge: AdversaryKnowledge, 
     backend = params.backend
     a, b, c = [p.identity for p in view.ordered]
     if knowledge.protocol == "xcq11":
-        s_a = knowledge.full_keys[a]
-        s_b = knowledge.full_keys[b]
-        shared = (
-            backend.pair(view.t[(a, b)], s_b)
-            * backend.pair(view.t[(b, a)], s_a)
-            * backend.pair(view.t[(c, a)], s_a)
-        )
-        key = xcq11.session_key(params, view, shared)
-        return AdversaryResult(key, _dlog_details(backend, recovered_shared=shared))
-    guess = backend.random_scalar(rng)
-    shared = backend.pair(view.t_points[b], view.t_points[c]) ** guess
-    key = xcq11.improved_session_key(params, view, shared)
-    details = {"substituted": "exponent of e(T_B, T_C)"}
-    return AdversaryResult(key, details)
+        keys = knowledge.full_keys
+        shared = _unmask_ab(backend, view, a, b, keys[a], keys[b]) * backend.pair(view.t[(c, a)], keys[a])
+        details = _dlog_details(backend, recovered_shared=shared)
+    else:
+        shared = backend.pair(view.t_points[b], view.t_points[c]) ** backend.random_scalar(rng)
+        details = {"substituted": "exponent of e(T_B, T_C)"}
+    return AdversaryResult(xcq11.session_key(params, view, shared), details)
 
 
 def recover_ephemeral_points(params: SystemParams, secret_values: Mapping[bytes, Scalar], view) -> dict:
@@ -268,22 +266,17 @@ def secret_values_attack(params: SystemParams, knowledge: AdversaryKnowledge, vi
     """
     backend = params.backend
     if knowledge.protocol == "xcq11":
-        points = recover_ephemeral_points(params, knowledge.secret_values, view)
-        total = backend.g1_identity()
-        for point in points.values():
-            total = total + point
-        shared = backend.pair(total, backend.P)
-        key = xcq11.session_key(params, view, shared)
-        details = _dlog_details(
-            backend, **{f"recovered_{i.decode()}": pt for i, pt in points.items()}
-        )
-        return AdversaryResult(key, details)
+        recovered = recover_ephemeral_points(params, knowledge.secret_values, view)
+        points = recovered.values()
+        details = _dlog_details(backend, **{f"recovered_{i.decode()}": pt for i, pt in recovered.items()})
+    else:
+        points = view.t_values()
+        details = {"substituted": "additive reconstruction of a multiplicative value"}
     total = backend.g1_identity()
-    for p in view.ordered:
-        total = total + view.t_points[p.identity]
+    for point in points:
+        total = total + point
     shared = backend.pair(total, backend.P)
-    key = xcq11.improved_session_key(params, view, shared)
-    return AdversaryResult(key, {"substituted": "additive reconstruction of a multiplicative value"})
+    return AdversaryResult(xcq11.session_key(params, view, shared), details)
 
 
 # -- live adversaries -----------------------------------------------------------
@@ -342,23 +335,18 @@ class MaskedPointKciAdversary(LiveAdversary):
 
     def finish(self, view) -> AdversaryResult:
         backend = self.params.backend
-        a, b, c = [p.identity for p in view.ordered]
+        a, b, _ = [p.identity for p in view.ordered]
         if self.knowledge.protocol == "xcq11":
-            s_a = self.knowledge.full_keys[a]
-            s_b = self.knowledge.full_keys[b]
-            shared = (
-                backend.g**self.ephemeral
-                * backend.pair(view.t[(a, b)], s_b)
-                * backend.pair(view.t[(b, a)], s_a)
-            )
-            key = xcq11.session_key(self.params, view, shared)
-            return AdversaryResult(key, _dlog_details(backend, adversary_shared=shared))
-        # repaired variant: the adversary knows its own ephemeral, so it can
-        # compute e(T_A, T_B)^c' -- but A and B reject the forged signature
-        # and never derive a key to match
-        shared = backend.pair(view.t_points[a], view.t_points[b]) ** self.ephemeral
-        key = xcq11.improved_session_key(self.params, view, shared)
-        return AdversaryResult(key, {"note": "honest parties must abort on the forged signature"})
+            keys = self.knowledge.full_keys
+            shared = backend.g**self.ephemeral * _unmask_ab(backend, view, a, b, keys[a], keys[b])
+            details = _dlog_details(backend, adversary_shared=shared)
+        else:
+            # repaired variant: the adversary knows its own ephemeral, so it
+            # can compute e(T_A, T_B)^c' -- but A and B reject the forged
+            # signature and never derive a key to match
+            shared = backend.pair(view.t_points[a], view.t_points[b]) ** self.ephemeral
+            details = {"note": "honest parties must abort on the forged signature"}
+        return AdversaryResult(xcq11.session_key(self.params, view, shared), details)
 
 
 class SharedValuesAdversary(LiveAdversary):
@@ -388,23 +376,22 @@ class SharedValuesAdversary(LiveAdversary):
             user_a: Xcl12UserKeys = self.knowledge.full_keys[a]
             k2 = backend.pair(a_point, b_point) ** self.ephemeral
             k3 = backend.pair(parties[b].upk, parties[c].upk) ** user_a.secret_value
-            shared = xcl12.SharedValues(k1, k2, k3)
-            key = xcl12.session_key(self.params, view, shared)
-            return AdversaryResult(key, _dlog_details(backend, k1=k1, k2=k2, k3=k3))
-        # repaired variant: the bases of k2 and k3 are built from public
-        # points plus the recovered a*P and b*P, but the exponents need
-        # s_C^-1 and x_C; x_C is out of reach of every adversary here, so
-        # a random guess stands in for it
-        base2 = backend.pair(
-            a_point + masked_base(self.params, a, parties[a].r_point),
-            b_point + masked_base(self.params, b, parties[b].r_point),
-        )
-        base3 = backend.pair(a_point + parties[a].upk, b_point + parties[b].upk)
-        k2 = base2 ** (self.ephemeral + self.inverse_partial(c))
-        k3 = base3 ** (self.ephemeral + backend.random_scalar(self.rng))
+            details = _dlog_details(backend, k1=k1, k2=k2, k3=k3)
+        else:
+            # repaired variant: the bases of k2 and k3 are built from public
+            # points plus the recovered a*P and b*P, but the exponents need
+            # s_C^-1 and x_C; x_C is out of reach of every adversary here,
+            # so a random guess stands in for it
+            base2 = backend.pair(
+                a_point + masked_base(self.params, a, parties[a].r_point),
+                b_point + masked_base(self.params, b, parties[b].r_point),
+            )
+            base3 = backend.pair(a_point + parties[a].upk, b_point + parties[b].upk)
+            k2 = base2 ** (self.ephemeral + self.inverse_partial(c))
+            k3 = base3 ** (self.ephemeral + backend.random_scalar(self.rng))
+            details = {"substituted": self.substituted}
         shared = xcl12.SharedValues(k1, k2, k3)
-        key = xcl12.session_key(self.params, view, shared)
-        return AdversaryResult(key, {"substituted": self.substituted})
+        return AdversaryResult(xcl12.session_key(self.params, view, shared), details)
 
 
 class SharedValuesKgcAdversary(SharedValuesAdversary):
@@ -441,11 +428,14 @@ class SharedValuesCommonAdversary(SharedValuesAdversary):
         return self.shared_values(view)
 
 
+_LIVE_ADVERSARIES = {
+    "kci": MaskedPointKciAdversary,
+    "kci-kgc": SharedValuesKgcAdversary,
+    "kci-common": SharedValuesCommonAdversary,
+}
+
+
 def make_live_adversary(attack: str, params: SystemParams, knowledge: AdversaryKnowledge, public, rng) -> LiveAdversary:
-    if attack == "kci":
-        return MaskedPointKciAdversary(params, knowledge, public, rng)
-    if attack == "kci-kgc":
-        return SharedValuesKgcAdversary(params, knowledge, public, rng)
-    if attack == "kci-common":
-        return SharedValuesCommonAdversary(params, knowledge, public, rng)
-    raise ScenarioError(f"{attack!r} is not a live attack")
+    if attack not in _LIVE_ADVERSARIES:
+        raise ScenarioError(f"{attack!r} is not a live attack")
+    return _LIVE_ADVERSARIES[attack](params, knowledge, public, rng)

@@ -104,7 +104,10 @@ def _write_out(path: str | None, record: dict) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, "rb") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, huge integers, deep nesting
+            raise EncodingError(f"{path}: {exc}") from exc
 
 
 def _cmd_keygen(args) -> int:
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, EncodingError, json.JSONDecodeError) as exc:
+    except (OSError, EncodingError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SignatureInvalidError as exc:

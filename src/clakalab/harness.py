@@ -145,9 +145,7 @@ _PHASES = ("init", "announced", "flows-sent", "derived", "aborted")
 
 def public_record(protocol: str, user):
     """The announcement any eavesdropper knows: identity plus public points."""
-    if family(protocol) == "xcq11":
-        return PartyPublic(user.identity, user.upk)
-    return xcl12.Announcement(user.identity, user.upk, user.partial.r_u)
+    return PartyPublic(user.identity, user.upk, user.partial.r_u if family(protocol) == "xcl12" else None)
 
 
 class PartyMachine:
@@ -260,9 +258,7 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
     for identity in ids:
         ann = actors[identity].announcement()
         announcements[identity] = ann
-        messages.append(
-            wire.message_record(session_id, protocol, seq, identity, "announce", wire.announce_payload(protocol, ann))
-        )
+        messages.append(wire.message_record(session_id, protocol, seq, identity, "announce", wire.announce_payload(ann)))
         seq += 1
 
     flow_payloads = []

@@ -35,7 +35,7 @@ import functools
 import hashlib
 import struct
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .errors import (
     BackendMismatchError,
@@ -157,9 +157,6 @@ class Scalar:
         return self.backend.scalar_to_bytes(self)
 
 
-ScalarLike = Union[Scalar, int]
-
-
 @dataclass
 class OpCounter:
     """Group-operation counts taken by ``metered``."""
@@ -197,14 +194,31 @@ def metered(counter: Optional[OpCounter]):
         _meter = outer
 
 
-class G1Point:
-    """Element of the additive source group G1."""
+class _Element:
+    """Group element: the backend it belongs to and its data in that backend."""
 
     __slots__ = ("backend", "data")
 
     def __init__(self, backend: "PairingBackend", data):
         self.backend = backend
         self.data = data
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.backend is other.backend and self.data == other.data
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.backend), self.data))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_bytes().hex()[:16]}...)"
+
+
+class G1Point(_Element):
+    """Element of the additive source group G1."""
+
+    __slots__ = ()
 
     def _peer(self, other) -> "G1Point":
         if not isinstance(other, G1Point):
@@ -244,17 +258,6 @@ class G1Point:
     __mul__ = _scale
     __rmul__ = _scale
 
-    def __eq__(self, other):
-        if isinstance(other, G1Point):
-            return self.backend is other.backend and self.data == other.data
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.backend), self.data))
-
-    def __repr__(self):
-        return f"G1Point({self.to_bytes().hex()[:16]}...)"
-
     def is_identity(self) -> bool:
         return self.data == self.backend.g1_identity().data
 
@@ -262,14 +265,10 @@ class G1Point:
         return self.backend.g1_to_bytes(self)
 
 
-class G2Elem:
+class G2Elem(_Element):
     """Element of the multiplicative target group G2."""
 
-    __slots__ = ("backend", "data")
-
-    def __init__(self, backend: "PairingBackend", data):
-        self.backend = backend
-        self.data = data
+    __slots__ = ()
 
     def __mul__(self, other):
         if not isinstance(other, G2Elem):
@@ -290,17 +289,6 @@ class G2Elem:
         if _meter is not None:
             _meter.g2_exps += 1
         return G2Elem(self.backend, self.backend._g2_pow(self.data, k))
-
-    def __eq__(self, other):
-        if isinstance(other, G2Elem):
-            return self.backend is other.backend and self.data == other.data
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.backend), self.data))
-
-    def __repr__(self):
-        return f"G2Elem({self.to_bytes().hex()[:16]}...)"
 
     def is_identity(self) -> bool:
         return self.data == self.backend.g2_identity().data
@@ -339,12 +327,16 @@ class PairingBackend:
         return s.value.to_bytes(self.scalar_width, "big")
 
     def scalar_from_bytes(self, raw: bytes) -> Scalar:
+        return Scalar(self, self._residue(raw, "scalar"))
+
+    def _residue(self, raw: bytes, what: str) -> int:
+        """Decode a fixed-width big-endian residue mod q; ``what`` names it in errors."""
         if len(raw) != self.scalar_width:
-            raise EncodingError(f"scalar encoding must be {self.scalar_width} bytes")
+            raise EncodingError(f"{what} encoding must be {self.scalar_width} bytes")
         value = int.from_bytes(raw, "big")
         if value >= self.q:
-            raise EncodingError("scalar encoding out of range")
-        return Scalar(self, value)
+            raise EncodingError(f"{what} encoding out of range")
+        return value
 
     # -- hashing ------------------------------------------------------------
 
@@ -448,23 +440,13 @@ class TransparentBackend(PairingBackend):
         return u.data.to_bytes(self.scalar_width, "big")
 
     def g1_from_bytes(self, raw, strict=False):
-        if len(raw) != self.scalar_width:
-            raise EncodingError(f"G1 encoding must be {self.scalar_width} bytes")
-        value = int.from_bytes(raw, "big")
-        if value >= self.q:
-            raise EncodingError("G1 encoding out of range")
-        return G1Point(self, value)
+        return G1Point(self, self._residue(raw, "G1"))
 
     def g2_to_bytes(self, z):
         return z.data.to_bytes(self.scalar_width, "big")
 
     def g2_from_bytes(self, raw):
-        if len(raw) != self.scalar_width:
-            raise EncodingError(f"G2 encoding must be {self.scalar_width} bytes")
-        value = int.from_bytes(raw, "big")
-        if value >= self.q:
-            raise EncodingError("G2 encoding out of range")
-        return G2Elem(self, value)
+        return G2Elem(self, self._residue(raw, "G2"))
 
     def dlog_g1(self, u):
         return u.data

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Optional
 
 from .errors import MissingTranscriptFieldError, ScenarioError
 from .pairing import G1Point
@@ -25,10 +26,11 @@ def is_improved(protocol: str) -> bool:
 
 @dataclass(frozen=True)
 class PartyPublic:
-    """Public announcement of one participant: identity and user public key."""
+    """Public announcement of one participant: identity, upk, and R_U (xcl12 only)."""
 
     identity: bytes
     upk: G1Point
+    r_point: Optional[G1Point] = None
 
 
 @dataclass(frozen=True)
@@ -52,45 +54,52 @@ def canonical_identities(identities: Iterable[bytes]) -> tuple[bytes, ...]:
     return ordered
 
 
-def canonical_parties(parties: Sequence) -> tuple:
-    """Sort announcement records (anything with ``.identity``) into role order."""
-    ordered = tuple(sorted(parties, key=lambda p: p.identity))
-    canonical_identities(p.identity for p in ordered)
-    return ordered
-
-
-def kdf_prefix(ordered: Sequence, t_values: Iterable[G1Point]) -> list[bytes]:
-    """KDF input every variant starts with: identities, then upks, then T-values."""
-    parts = [p.identity for p in ordered]
-    parts += [p.upk.to_bytes() for p in ordered]
-    parts += [t.to_bytes() for t in t_values]
-    return parts
-
-
 @dataclass(frozen=True)
-class PairwiseView:
-    """Everything public in one session that sends a T-value per ordered pair."""
+class SessionView:
+    """Everything public in one session: the announcements plus round one.
 
-    parties: tuple  # PartyPublic records or shared-values announcements
-    t: Mapping[tuple[bytes, bytes], G1Point]  # (sender, receiver) -> T
+    Subclasses add their round-one fields and supply ``missing()``, which
+    yields a description of each absent item, and ``t_values()``, the
+    T-values in KDF order.
+    """
 
-    @property
+    parties: tuple  # PartyPublic records
+
+    @cached_property
     def ordered(self) -> tuple:
-        return canonical_parties(self.parties)
+        """The parties in role order (A, B, C): sorted by identity bytes."""
+        ordered = tuple(sorted(self.parties, key=lambda p: p.identity))
+        canonical_identities(p.identity for p in ordered)
+        return ordered
 
     def require_complete(self) -> None:
         if len(self.parties) != 3:
             raise MissingTranscriptFieldError("a session view needs exactly three parties")
-        ids = [p.identity for p in self.ordered]
-        for sender in ids:
-            for receiver in ids:
-                if sender != receiver and (sender, receiver) not in self.t:
-                    raise MissingTranscriptFieldError(
-                        f"missing T-value {sender!r} -> {receiver!r}"
-                    )
+        for item in self.missing():
+            raise MissingTranscriptFieldError(f"missing {item}")
 
     def kdf_prefix(self) -> list[bytes]:
+        """KDF input every variant starts with: identities, then upks, then T-values."""
         ordered = self.ordered
-        ids = [p.identity for p in ordered]
+        parts = [p.identity for p in ordered]
+        parts += [p.upk.to_bytes() for p in ordered]
+        parts += [t.to_bytes() for t in self.t_values()]
+        return parts
+
+
+@dataclass(frozen=True)
+class PairwiseView(SessionView):
+    """A session that sends one T-value per ordered pair of parties."""
+
+    t: Mapping[tuple[bytes, bytes], G1Point]  # (sender, receiver) -> T
+
+    def _pairs(self):
+        ids = [p.identity for p in self.ordered]
+        return [(s, r) for s in ids for r in ids if s != r]
+
+    def missing(self):
+        return (f"T-value {s!r} -> {r!r}" for s, r in self._pairs() if (s, r) not in self.t)
+
+    def t_values(self) -> list[G1Point]:
         # sender-major order: T_AB, T_AC, T_BA, T_BC, T_CA, T_CB
-        return kdf_prefix(ordered, [self.t[(s, r)] for s in ids for r in ids if s != r])
+        return [self.t[pair] for pair in self._pairs()]

@@ -16,7 +16,7 @@ import hashlib
 import json
 from typing import Mapping, Sequence
 
-from . import clsig, xcl12, xcq11
+from . import clsig, xcq11
 from .errors import EncodingError
 from .keyinfra import SystemParams
 from .session import PairwiseView, PartyPublic, family
@@ -48,9 +48,9 @@ def message_record(session_id: str, protocol: str, seq: int, sender: bytes, mtyp
 # -- announcements -------------------------------------------------------------
 
 
-def announce_payload(protocol: str, ann) -> dict:
+def announce_payload(ann: PartyPublic) -> dict:
     payload = {"id": ann.identity.decode("utf-8"), "upk": ann.upk.to_bytes().hex()}
-    if family(protocol) == "xcl12":
+    if ann.r_point is not None:
         payload["r"] = ann.r_point.to_bytes().hex()
     return payload
 
@@ -59,10 +59,9 @@ def parse_announce(protocol: str, payload: Mapping, backend):
     try:
         identity = payload["id"].encode("utf-8")
         upk = backend.g1_from_bytes(bytes.fromhex(payload["upk"]))
-        if family(protocol) == "xcl12":
-            r_point = backend.g1_from_bytes(bytes.fromhex(payload["r"]))
-            return xcl12.Announcement(identity, upk, r_point)
-        return PartyPublic(identity, upk)
+        # an xcl12 announcement must carry R_U; an xcq11 one has none
+        r_point = backend.g1_from_bytes(bytes.fromhex(payload["r"])) if family(protocol) == "xcl12" else None
+        return PartyPublic(identity, upk, r_point)
     except (KeyError, TypeError, ValueError) as exc:
         raise EncodingError(f"malformed announcement payload: {exc}") from exc
 

@@ -35,16 +35,11 @@ from typing import Mapping, Sequence
 from .errors import MissingTranscriptFieldError
 from .keyinfra import XCL12_H2, SystemParams, Xcl12UserKeys, masked_base
 from .pairing import G1Point, G2Elem, OpCounter, Scalar, metered
-from .session import PairwiseView, SessionKey
+from .session import PairwiseView, PartyPublic, SessionKey
 
 
-@dataclass(frozen=True)
-class Announcement:
-    """Public announcement of one participant: identity, upk, and R_U."""
-
-    identity: bytes
-    upk: G1Point
-    r_point: G1Point
+#: the announcement {ID_U, upk_U, R_U}, with R_U as ``r_point``
+Announcement = PartyPublic
 
 
 @dataclass(frozen=True)

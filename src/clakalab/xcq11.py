@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import clsig
-from .errors import MissingTranscriptFieldError, SignatureInvalidError
+from .errors import SignatureInvalidError
 from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
-from .session import PairwiseView, PartyPublic, SessionKey, canonical_parties, kdf_prefix
+from .session import PairwiseView, PartyPublic, SessionKey, SessionView
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> Xcq11Outg
     return Xcq11Outgoing(u, t_out)
 
 
-def session_key(params: SystemParams, view: Xcq11View, shared: G2Elem) -> bytes:
-    """KDF over identities, public keys, all six T-values, and the shared value."""
+def session_key(params: SystemParams, view: SessionView, shared: G2Elem) -> bytes:
+    """KDF over identities, public keys, the T-values, and the shared value."""
     return params.backend.kdf(XCQ11_H3, view.kdf_prefix() + [shared.to_bytes()], params.key_bits)
 
 
@@ -77,23 +77,21 @@ class Xcq11SignedOutgoing:
 
 
 @dataclass(frozen=True)
-class Xcq11ImprovedView:
-    parties: tuple[PartyPublic, ...]
+class Xcq11ImprovedView(SessionView):
+    """The repaired session view: one bare T point and signature per party."""
+
     t_points: Mapping[bytes, G1Point]
     signatures: Mapping[bytes, clsig.ClSignature]
 
-    @property
-    def ordered(self) -> tuple[PartyPublic, ...]:
-        return canonical_parties(self.parties)
-
-    def require_complete(self) -> None:
-        if len(self.parties) != 3:
-            raise MissingTranscriptFieldError("a session view needs exactly three parties")
+    def missing(self):
         for p in self.parties:
             if p.identity not in self.t_points:
-                raise MissingTranscriptFieldError(f"missing T point of {p.identity!r}")
+                yield f"T point of {p.identity!r}"
             if p.identity not in self.signatures:
-                raise MissingTranscriptFieldError(f"missing signature of {p.identity!r}")
+                yield f"signature of {p.identity!r}"
+
+    def t_values(self) -> list[G1Point]:
+        return [self.t_points[p.identity] for p in self.ordered]
 
 
 def signed_payload(t_point: G1Point, upk: G1Point) -> bytes:
@@ -112,12 +110,6 @@ def improved_round1(params: SystemParams, own: Xcq11UserKeys, rng) -> Xcq11Signe
         rng,
     )
     return Xcq11SignedOutgoing(u, t_point, sig)
-
-
-def improved_session_key(params: SystemParams, view: Xcq11ImprovedView, shared: G2Elem) -> bytes:
-    ordered = view.ordered
-    parts = kdf_prefix(ordered, [view.t_points[p.identity] for p in ordered])
-    return params.backend.kdf(XCQ11_H3, parts + [shared.to_bytes()], params.key_bits)
 
 
 def improved_derive(
@@ -139,4 +131,4 @@ def improved_derive(
         if not clsig.verify(params, peer.identity, peer.upk, message, view.signatures[peer.identity]):
             raise SignatureInvalidError(peer.identity)
     shared = backend.pair(view.t_points[peers[0].identity], view.t_points[peers[1].identity]) ** state.ephemeral
-    return SessionKey(improved_session_key(params, view, shared), shared)
+    return SessionKey(session_key(params, view, shared), shared)

@@ -179,3 +179,32 @@ def test_keyring_with_another_users_secret_value_is_io_error(tmp_path, capsys, p
         return _with_first_user(ring, x=ring["users"][1]["x"])
 
     _assert_keyring_rejected(tmp_path, capsys, protocol, copy_x)
+
+
+#: a JSON integer longer than CPython's default limit of 4300 digits for int/str conversion
+TOO_MANY_DIGITS = "7" * 5000
+
+
+@pytest.mark.parametrize("command", [("replay",), ("run", "--replay")], ids=["replay", "run-replay"])
+def test_report_with_an_integer_past_the_digit_limit_is_io_error(tmp_path, capsys, command):
+    path = tmp_path / "report.json"
+    path.write_text('{"kind": "run", "config": {"protocol": "xcq11", "seed": %s}}' % TOO_MANY_DIGITS)
+    assert run_cli(*command, str(path)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_report_nested_past_the_recursion_limit_is_io_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli("replay", str(path)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_keyring_with_an_integer_past_the_digit_limit_is_io_error(tmp_path, capsys):
+    keys = tmp_path / "keys.json"
+    assert run_cli("keygen", "--protocol", "xcq11", "--seed", "4", "--out", str(keys)) == 0
+    ring = json.dumps({**json.loads(keys.read_text()), "key_bits": 0})
+    keys.write_text(ring.replace('"key_bits": 0', '"key_bits": ' + TOO_MANY_DIGITS))
+    capsys.readouterr()
+    assert run_cli("run", "--protocol", "xcq11", "--keys", str(keys)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
