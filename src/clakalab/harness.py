@@ -25,6 +25,7 @@ from .session import (
     SessionKey,
     canonical_identities,
     family,
+    valid_identity,
 )
 
 DEFAULT_IDENTITIES = ("alice", "bob", "carol")
@@ -52,6 +53,8 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if len(self.identities) != 3 or len(set(self.identities)) != 3:
             raise ScenarioError("exactly three distinct identities are required")
+        if not all(valid_identity(i) for i in self.identities):
+            raise ScenarioError("identities must be strings that encode as UTF-8")
         if self.attack is not None and not attacks.attack_applies(self.attack, self.protocol):
             raise ScenarioError(
                 f"attack {self.attack!r} is not defined for protocol {self.protocol!r}"
@@ -75,8 +78,8 @@ class ScenarioConfig:
         if not isinstance(obj, Mapping):
             raise EncodingError("malformed scenario config: not a JSON object")
         identities = obj.get("identities", list(DEFAULT_IDENTITIES))
-        if not isinstance(identities, list) or not all(isinstance(i, str) for i in identities):
-            raise EncodingError("scenario identities must be a list of strings")
+        if not isinstance(identities, list) or not all(valid_identity(i) for i in identities):
+            raise EncodingError("scenario identities must be a list of UTF-8 strings")
         seed = obj.get("seed", 0)
         if type(seed) is not int:
             raise EncodingError(f"scenario seed must be an integer, not {seed!r}")

@@ -41,6 +41,7 @@ from .pairing import (
     get_backend,
     valid_key_bits,
 )
+from .session import valid_identity
 
 # domain tags for the protocol hash functions
 XCQ11_H1 = b"XCQ11-H1"
@@ -252,8 +253,8 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
     if not isinstance(record, Mapping):
         raise EncodingError("malformed keyring record: not a JSON object")
     users = record.get("users")
-    if not isinstance(users, list) or not all(isinstance(u, Mapping) and isinstance(u.get("id"), str) for u in users):
-        raise EncodingError("keyring users must be a list of objects with string ids")
+    if not isinstance(users, list) or not all(isinstance(u, Mapping) and valid_identity(u.get("id")) for u in users):
+        raise EncodingError("keyring users must be a list of objects with UTF-8 string ids")
     profile = record.get("profile")
     if profile not in PROFILE_NAMES:
         raise EncodingError(f"unknown keyring profile {profile!r}")

@@ -70,6 +70,9 @@ _Q_160 = 0x8000000000000000000000000000000080000039
 _COFACTOR_160 = 216
 _COFACTOR_256 = 800
 
+#: teeth of the fixed-base comb for k*P: 2^teeth - 1 table points
+_COMB_TEETH = 8
+
 _H2S_PREFIX = b"CLAKA/H2S"
 _KDF_PREFIX = b"CLAKA/KDF"
 
@@ -459,11 +462,18 @@ class SupersingularBackend(PairingBackend):
     """Tate pairing on the supersingular curve y^2 = x^3 + x over F_p.
 
     G1 points are stored as affine pairs (x, y) with ``None`` for the
-    identity.  Scalar multiplication and the Miller loop share one
-    double-and-add loop in Jacobian coordinates (X, Y, Z), x = X/Z^2 and
-    y = Y/Z^3, with mixed additions of the affine base and one field
-    inversion each.  G2 elements live in the order-q subgroup of
-    F_p^2 = F_p[i] (i^2 = -1) and are stored as coefficient pairs (c0, c1).
+    identity.  Scalar multiplication and the Miller loop share one loop in
+    Jacobian coordinates (X, Y, Z), x = X/Z^2 and y = Y/Z^3, that walks a
+    sequence of steps from T = O: a doubling, or a mixed addition of an
+    affine point.  A variable base k*a and the Miller loop over q feed it
+    the bits of the scalar with the one base.  k*P for the generator P
+    feeds it a Lim-Lee comb instead: k mod q is cut into 8 rows, and each
+    of the ceil(bits/8) columns, one bit (tooth) from each row, is one
+    doubling and one addition of a point from a table of the 255 sums of
+    P's row multiples, built with affine additions on the first k*P.
+    Either way one field inversion leaves Jacobian form.  G2 elements live
+    in the order-q subgroup of F_p^2 = F_p[i] (i^2 = -1) and are stored as
+    coefficient pairs (c0, c1).
     The second pairing argument is passed through the distortion map
     psi(x, y) = (-x, i*y); because the x-coordinate of a distorted point
     stays in F_p, every vertical line lands in F_p^* and is erased by the
@@ -483,6 +493,8 @@ class SupersingularBackend(PairingBackend):
         if self.p % 4 != 3:
             raise ClakaError("field prime must be 3 mod 4")
         self.point_width = (self.p.bit_length() + 7) // 8
+        self._comb = None  # (columns, table), built by the first k*P
+        self.P = self.g1_identity()  # no comb while the generator is searched
         self.P = G1Point(self, self._find_generator())
         self.g = self.pair(self.P, self.P)
         if self.g.is_identity():
@@ -527,37 +539,35 @@ class SupersingularBackend(PairingBackend):
             return None
         return (a[0], -a[1] % self.p)
 
-    def _ladder(self, k, a, at=None):
-        """Left-to-right double-and-add: T = k*a for k >= 1 and an affine a.
+    def _ladder(self, steps, at=None):
+        """Walk ``steps`` from T = O: ``None`` doubles T, an affine point is added to T.
 
         Returns T as (X, Y, Z), Z = 0 for the identity, and f.  Given
-        ``at = (xe, yq)`` the loop is Miller's algorithm, and f is the
+        ``at = (xe, yq)`` the walk is Miller's algorithm, and f is the
         product of its lines at psi(V) = (xe, i*yq); otherwise f is None.
         """
         p = self.p
-        xa, ya = a
-        X, Y, Z = xa, ya, 1
+        X, Y, Z = 1, 1, 0
         f = None
         if at is not None:
             xe, yq = at
-            dx = (xe - xa) % p
             f = (1, 0)
-        # every bit doubles T ("0"); a set bit then adds a ("1")
-        for step in bin(k)[3:].replace("1", "01"):
-            if step == "1":
-                if not Z:  # T = O restarts at a
+        for b in steps:
+            if b is not None:
+                xa, ya = b
+                if not Z:  # T = O restarts at b
                     X, Y, Z = xa, ya, 1
                     continue
                 ZZ = Z * Z % p
                 H = (xa * ZZ - X) % p
                 r = (ya * ZZ * Z - Y) % p
                 if H or r:
-                    # chord through T and a, scaled by H*Z: its slope is
-                    # r / (HZ).  H = 0 (T = -a) gives Z = 0 and the vertical
+                    # chord through T and b, scaled by H*Z: its slope is
+                    # r / (HZ).  H = 0 (T = -b) gives Z = 0 and the vertical
                     # line (-r*(xe - xa), 0) in F_p^*
                     HZ = H * Z % p
                     if f is not None:
-                        f = self._f2_mul(f, (-(ya * HZ + r * dx) % p, yq * HZ % p))
+                        f = self._f2_mul(f, (-(ya * HZ + r * (xe - xa)) % p, yq * HZ % p))
                     HH = H * H % p
                     HHH = H * HH % p
                     V = X * HH % p
@@ -565,7 +575,7 @@ class SupersingularBackend(PairingBackend):
                     Y = (r * (V - X) - Y * HHH) % p
                     Z = HZ
                     continue
-                # T = a: double it (in a Miller loop, only if a has order < q)
+                # T = b: double it (in a Miller loop, only if b has order < q)
             # tangent at T, scaled by 2Y*Z^3: its slope is M / (2YZ).  Y = 0
             # (order 2) or Z = 0 (T = O) gives Z = 0
             YY = Y * Y % p
@@ -581,11 +591,54 @@ class SupersingularBackend(PairingBackend):
             Z = Z3
         return (X, Y, Z), f
 
+    @staticmethod
+    def _bit_steps(k, a):
+        # left to right from the top bit, which starts T at a: every further
+        # bit doubles T, and a set bit then adds a
+        return [a] + [a if bit == "1" else None for bit in bin(k)[3:].replace("1", "01")]
+
+    def _comb_table(self):
+        # entry j is the sum of 2^(i*d) * P over the bits i set in j, built
+        # with affine additions; entry 0 is O
+        d = -(-self.q.bit_length() // _COMB_TEETH)
+        rows = [self.P.data]  # 2^(i*d) * P
+        for _ in range(_COMB_TEETH - 1):
+            t = rows[-1]
+            for _ in range(d):
+                t = self._ec_add(t, t)
+            rows.append(t)
+        table = [None]
+        for j in range(1, 1 << _COMB_TEETH):
+            low = j & -j
+            table.append(self._ec_add(table[j ^ low], rows[low.bit_length() - 1]))
+        return d, table
+
+    def _comb_steps(self, k):
+        # Lim-Lee comb for 0 <= k < 2^(teeth*d): row i holds bits i*d up to
+        # i*d + d - 1 of k, and bit c of each row (row i as bit i of the
+        # index, so the top row comes first) picks the table entry added
+        # after the doubling for column c, so T = sum of 2^c * entry_c = k*P
+        if self._comb is None:
+            self._comb = self._comb_table()
+        d, table = self._comb
+        bits = format(k, f"0{_COMB_TEETH * d}b")
+        steps = []
+        for column in zip(*(bits[i : i + d] for i in range(0, _COMB_TEETH * d, d))):
+            steps.append(None)
+            entry = table[int("".join(column), 2)]
+            if entry is not None:
+                steps.append(entry)
+        return steps[1:]  # T = O needs no first doubling
+
     def _ec_mul(self, k, a):
         # the only inversion leaves Jacobian form
         if not k or a is None:
             return None
-        (X, Y, Z), _ = self._ladder(k, a)
+        if a == self.P.data:
+            steps = self._comb_steps(k % self.q)  # P has order q
+        else:
+            steps = self._bit_steps(k, a)
+        (X, Y, Z), _ = self._ladder(steps)
         if not Z:
             return None
         p = self.p
@@ -651,7 +704,7 @@ class SupersingularBackend(PairingBackend):
             return self.g2_identity()
         p = self.p
         xq, yq = v.data
-        (_, _, Z), f = self._ladder(self.q, u.data, (-xq % p, yq))  # psi(V) = (-xq, i*yq)
+        (_, _, Z), f = self._ladder(self._bit_steps(self.q, u.data), (-xq % p, yq))  # psi(V) = (-xq, i*yq)
         if Z:
             raise ClakaError("pairing argument is not in the order-q subgroup")
         # final exponentiation: (p^2 - 1)/q = (p - 1) * cofactor, and

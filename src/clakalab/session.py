@@ -46,6 +46,21 @@ class SessionKey:
     shared: object = field(default=None, compare=False)
 
 
+def valid_identity(value) -> bool:
+    """Whether ``value`` can name a party: a string that encodes as UTF-8.
+
+    A lone surrogate, such as JSON's ``"\\ud800"`` or an undecodable byte of
+    a command line, makes a string that has no UTF-8 encoding.
+    """
+    if not isinstance(value, str):
+        return False
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def canonical_identities(identities: Iterable[bytes]) -> tuple[bytes, ...]:
     """Fix the (A, B, C) role slots by sorting identity bytes."""
     ordered = tuple(sorted(identities))

@@ -121,6 +121,7 @@ MALFORMED_REPORTS = {
     "seed-a-float": {"kind": "run", "config": {"protocol": "xcq11", "seed": 1.5}},
     "key-bits-a-string": {"kind": "run", "config": {"protocol": "xcq11", "key_bits": "256"}},
     "key-bits-huge": {"kind": "run", "config": {"protocol": "xcq11", "key_bits": 2**70}},
+    "identity-not-utf8": {"kind": "run", "config": {"protocol": "xcq11", "identities": ["\ud800", "b", "c"]}},
 }
 
 
@@ -163,6 +164,7 @@ MALFORMED_KEYRINGS = {
     "key-bits-not-whole-bytes": lambda ring: {**ring, "key_bits": 12},
     "key-bits-huge": lambda ring: {**ring, "key_bits": 2**70},
     "id-not-string": lambda ring: _with_first_user(ring, id=5),
+    "id-not-utf8": lambda ring: _with_first_user(ring, id="\ud800"),
     "unknown-profile": lambda ring: {**ring, "profile": "nope"},
 }
 
@@ -179,6 +181,13 @@ def test_keyring_with_another_users_secret_value_is_io_error(tmp_path, capsys, p
         return _with_first_user(ring, x=ring["users"][1]["x"])
 
     _assert_keyring_rejected(tmp_path, capsys, protocol, copy_x)
+
+
+def test_identity_that_is_not_utf8_is_usage_error(capsys):
+    # an undecodable byte of the command line reaches argv as a lone surrogate
+    for command in (("run", "--protocol", "xcq11"), ("keygen", "--protocol", "xcl12"), ("count-ops",)):
+        assert run_cli(*command, "--ids", "\udcff,b,c") == cli.EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
 
 
 #: a JSON integer longer than CPython's default limit of 4300 digits for int/str conversion

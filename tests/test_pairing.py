@@ -10,7 +10,7 @@ from clakalab.errors import (
     DegenerateScalarError,
     EncodingError,
 )
-from clakalab.pairing import G1Point, OpCounter, encode_parts, get_backend, metered
+from clakalab.pairing import _COMB_TEETH, G1Point, OpCounter, encode_parts, get_backend, metered
 
 BACKENDS = ("t1009", "t256", "c160")
 
@@ -373,6 +373,19 @@ def test_ec_mul_matches_affine_reference(profile):
         for k in edges + [h, q * h, h + 1, rng.randrange(q * h)]:
             assert b._ec_mul(k, pt) == _affine_mul(b, k, pt), (pt, k)
     assert b._ec_mul(q, None) is None
+    # k*P walks the comb: every single bit, columns with no tooth or every
+    # tooth set, and scalars past q, which are reduced
+    columns = -(-q.bit_length() // _COMB_TEETH)
+    width = _COMB_TEETH * columns
+    full_column = sum(1 << (i * columns) for i in range(_COMB_TEETH))
+    comb_cases = [1 << j for j in range(width)] + [q + (1 << j) for j in range(0, width, columns + 1)]
+    comb_cases += [full_column << c for c in range(columns)] + [(1 << (width - 1)) - 1, (1 << width) - 1, q * h]
+    for k in comb_cases:
+        assert b._ec_mul(k, base) == _affine_mul(b, k, base), k
+    decoded = b.g1_from_bytes(b.P.to_bytes()).data
+    assert decoded == base and decoded is not base
+    for k in [q - 1, full_column, rng.randrange(q)]:
+        assert b._ec_mul(k, decoded) == _affine_mul(b, k, base), k
 
 
 @pytest.mark.parametrize("profile", ("c160", "c256"))
