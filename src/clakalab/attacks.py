@@ -237,15 +237,14 @@ def recover_ephemeral_points(params: SystemParams, secret_values: Mapping[bytes,
 
     Raises ``DegenerateDenominatorError`` when two identity hashes collide.
     """
-    ordered = view.ordered
     weights = {}
     hashes = {}
-    for p in ordered:
+    for p in view.ordered:
         weights[p.identity] = (secret_values[p.identity] + public_key_hash(params, p.upk)).inverse()
         hashes[p.identity] = identity_hash(params, p.identity)
     recovered = {}
-    for sender in ordered:
-        y, z = [p.identity for p in ordered if p.identity != sender.identity]
+    for sender in view.ordered:
+        y, z = [p.identity for p in view.peers(sender.identity)]
         denom = hashes[y] - hashes[z]
         if denom.is_zero():
             raise DegenerateDenominatorError(
@@ -299,12 +298,6 @@ class LiveAdversary:
     def announcement(self):
         # the impersonated party's genuine public data is public knowledge
         return self.public
-
-    def flows(self, peers):
-        raise NotImplementedError
-
-    def finish(self, view) -> AdversaryResult:
-        raise NotImplementedError
 
 
 class MaskedPointKciAdversary(LiveAdversary):

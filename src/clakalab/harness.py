@@ -254,15 +254,14 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
 
     session_id = f"{protocol}-{config.profile}-s{config.seed}"
     messages = []
-    seq = 0
 
     actors = {i: impostor if i == impostor_id else machines[i] for i in ids}
     announcements = {}
     for identity in ids:
         ann = actors[identity].announcement()
         announcements[identity] = ann
-        messages.append(wire.message_record(session_id, protocol, seq, identity, "announce", wire.announce_payload(ann)))
-        seq += 1
+        payload = wire.announce_payload(ann)
+        messages.append(wire.message_record(session_id, protocol, len(messages), identity, "announce", payload))
 
     flow_payloads = []
     for identity in ids:
@@ -270,8 +269,7 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
         outgoing = actors[identity].flows(peers)
         payload = wire.flows_payload(protocol, outgoing)
         flow_payloads.append((identity, payload))
-        messages.append(wire.message_record(session_id, protocol, seq, identity, "flows", payload))
-        seq += 1
+        messages.append(wire.message_record(session_id, protocol, len(messages), identity, "flows", payload))
 
     # every receiver decodes the same broadcast bytes; build the shared view
     view = wire.build_view(

@@ -211,17 +211,13 @@ def make_user(family: str, params: SystemParams, msk: MasterKey, identity: bytes
 # -- key material import/export ------------------------------------------------
 
 
-def _id_str(identity: bytes) -> str:
-    return identity.decode("utf-8")
-
-
 def keyring_to_json(family: str, params: SystemParams, msk: MasterKey, users) -> dict:
     """Serialize KGC and user key material as a JSON-ready record."""
     backend = params.backend
     records = []
     for user in users:
         rec = {
-            "id": _id_str(user.identity),
+            "id": user.identity.decode("utf-8"),
             "x": user.secret_value.to_bytes().hex(),
             "upk": user.upk.to_bytes().hex(),
         }

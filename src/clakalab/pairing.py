@@ -217,6 +217,16 @@ class _Element:
     def __repr__(self):
         return f"{type(self).__name__}({self.to_bytes().hex()[:16]}...)"
 
+    def _exponent(self, k) -> Optional[int]:
+        """``k`` as an integer mod q, or None if it is neither a Scalar nor an int."""
+        if isinstance(k, Scalar):
+            if k.backend is not self.backend:
+                raise BackendMismatchError(f"scalar and {type(self).__name__} belong to different backends")
+            return k.value
+        if isinstance(k, int):
+            return k % self.backend.q
+        return None
+
 
 class G1Point(_Element):
     """Element of the additive source group G1."""
@@ -246,13 +256,8 @@ class G1Point(_Element):
         return G1Point(self.backend, self.backend._g1_neg(self.data))
 
     def _scale(self, k) -> "G1Point":
-        if isinstance(k, Scalar):
-            if k.backend is not self.backend:
-                raise BackendMismatchError("scalar and point belong to different backends")
-            k = k.value
-        elif isinstance(k, int):
-            k %= self.backend.q
-        else:
+        k = self._exponent(k)
+        if k is None:
             return NotImplemented
         if _meter is not None:
             _meter.scalar_muls += 1
@@ -281,13 +286,8 @@ class G2Elem(_Element):
         return G2Elem(self.backend, self.backend._g2_mul(self.data, other.data))
 
     def __pow__(self, k):
-        if isinstance(k, Scalar):
-            if k.backend is not self.backend:
-                raise BackendMismatchError("scalar and G2 element belong to different backends")
-            k = k.value
-        elif isinstance(k, int):
-            k %= self.backend.q
-        else:
+        k = self._exponent(k)
+        if k is None:
             return NotImplemented
         if _meter is not None:
             _meter.g2_exps += 1
@@ -305,8 +305,10 @@ class PairingBackend:
 
     Concrete attributes set by subclasses: ``q`` (group order), ``P``
     (generator of G1), ``g`` (= e(P, P), generator of G2), ``backend_id``,
-    ``profile``, ``supports_dlog``; and the group law on element data that
-    the element operators call: ``_g1_add``, ``_g1_neg``, ``_g1_mul``,
+    ``profile``, ``supports_dlog``; the group API ``g1_identity``,
+    ``g2_identity``, ``pair``, ``g1_to_bytes``, ``g1_from_bytes``,
+    ``g2_to_bytes``, ``g2_from_bytes``; and the group law on element data
+    that the element operators call: ``_g1_add``, ``_g1_neg``, ``_g1_mul``,
     ``_g2_mul``, ``_g2_pow``.
     """
 
@@ -323,8 +325,8 @@ class PairingBackend:
     def scalar(self, value: int) -> Scalar:
         return Scalar(self, value)
 
-    def random_scalar(self, rng, nonzero: bool = True) -> Scalar:
-        return Scalar(self, rng.randrange(1 if nonzero else 0, self.q))
+    def random_scalar(self, rng) -> Scalar:
+        return Scalar(self, rng.randrange(1, self.q))
 
     def scalar_to_bytes(self, s: Scalar) -> bytes:
         return s.value.to_bytes(self.scalar_width, "big")
@@ -360,29 +362,6 @@ class PairingBackend:
             raise ClakaError("KDF output length must be a whole number of bytes")
         material = _KDF_PREFIX + encode_parts([tag, *parts])
         return hashlib.shake_256(material).digest(out_bits // 8)
-
-    # -- group API (implemented by subclasses) ------------------------------
-
-    def g1_identity(self) -> G1Point:
-        raise NotImplementedError
-
-    def g2_identity(self) -> G2Elem:
-        raise NotImplementedError
-
-    def pair(self, u: G1Point, v: G1Point) -> G2Elem:
-        raise NotImplementedError
-
-    def g1_to_bytes(self, u: G1Point) -> bytes:
-        raise NotImplementedError
-
-    def g1_from_bytes(self, raw: bytes, strict: bool = False) -> G1Point:
-        raise NotImplementedError
-
-    def g2_to_bytes(self, z: G2Elem) -> bytes:
-        raise NotImplementedError
-
-    def g2_from_bytes(self, raw: bytes) -> G2Elem:
-        raise NotImplementedError
 
     def dlog_g1(self, u: G1Point) -> int:
         raise ClakaError("discrete logs are exposed by the transparent backend only")
@@ -430,11 +409,6 @@ class TransparentBackend(PairingBackend):
     def _g1_mul(self, k, a):
         return k * a % self.q
 
-    _g2_mul = _g1_add  # G2 elements are exponents too
-
-    def _g2_pow(self, a, k):
-        return k * a % self.q
-
     def pair(self, u, v):
         self._check_pair_args(u, v)
         return G2Elem(self, u.data * v.data % self.q)
@@ -445,17 +419,15 @@ class TransparentBackend(PairingBackend):
     def g1_from_bytes(self, raw, strict=False):
         return G1Point(self, self._residue(raw, "G1"))
 
-    def g2_to_bytes(self, z):
-        return z.data.to_bytes(self.scalar_width, "big")
-
     def g2_from_bytes(self, raw):
         return G2Elem(self, self._residue(raw, "G2"))
 
     def dlog_g1(self, u):
         return u.data
 
-    def dlog_g2(self, z):
-        return z.data
+    # G2 is the same residue group as G1, its elements exponents of g; the
+    # product k*a commutes, so _g1_mul(a, k) is also a ** k
+    _g2_mul, _g2_pow, g2_to_bytes, dlog_g2 = _g1_add, _g1_mul, g1_to_bytes, dlog_g1
 
 
 class SupersingularBackend(PairingBackend):
@@ -646,12 +618,6 @@ class SupersingularBackend(PairingBackend):
         z_inv2 = z_inv * z_inv % p
         return (X * z_inv2 % p, Y * z_inv2 * z_inv % p)
 
-    def _on_curve(self, a) -> bool:
-        if a is None:
-            return True
-        x, y = a
-        return (y * y - (x * x * x + x)) % self.p == 0
-
     # -- F_p^2 arithmetic -----------------------------------------------------
 
     def _f2_mul(self, u, v):
@@ -736,7 +702,7 @@ class SupersingularBackend(PairingBackend):
         y = int.from_bytes(raw[1 + w :], "big")
         if x >= self.p or y >= self.p:
             raise EncodingError("G1 coordinate out of range")
-        if not self._on_curve((x, y)):
+        if (y * y - (x * x * x + x)) % self.p:
             raise EncodingError("point is not on the curve")
         if strict and self._ec_mul(self.q, (x, y)) is not None:
             raise EncodingError("point is not in the order-q subgroup")

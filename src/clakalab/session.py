@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import MissingTranscriptFieldError, ScenarioError
-from .pairing import G1Point
+from .pairing import G1Point, Scalar
 
 #: protocol variant tags; the trailing "i" marks the repaired variant
 PROTOCOL_VARIANTS = ("xcq11", "xcq11i", "xcl12", "xcl12i")
@@ -31,6 +31,21 @@ class PartyPublic:
     identity: bytes
     upk: G1Point
     r_point: Optional[G1Point] = None
+
+
+@dataclass(frozen=True)
+class PairwiseFlow:
+    """Round-one state of a party that masks one ephemeral toward each peer.
+
+    ``t_out`` maps each receiver's identity to its T-value.  xcl12 also
+    keeps ``peer_bases``, each peer's R_V + H1(ID_V || R_V) * P0, computed
+    anyway while building the T-values; its repaired derivation reuses
+    them, which is what keeps the repair at four extra additions.
+    """
+
+    ephemeral: Scalar
+    t_out: Mapping[bytes, G1Point]
+    peer_bases: Mapping[bytes, G1Point] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,14 @@ class SessionView:
             raise MissingTranscriptFieldError("a session view needs exactly three parties")
         for item in self.missing():
             raise MissingTranscriptFieldError(f"missing {item}")
+
+    def peers(self, identity: bytes) -> list:
+        """The two parties of a complete view other than ``identity``, in role order."""
+        self.require_complete()
+        peers = [p for p in self.ordered if p.identity != identity]
+        if len(peers) != 2:
+            raise MissingTranscriptFieldError(f"own identity {identity!r} not in the session view")
+        return peers
 
     def kdf_prefix(self) -> list[bytes]:
         """KDF input every variant starts with: identities, then upks, then T-values."""

@@ -57,6 +57,8 @@ def announce_payload(ann: PartyPublic) -> dict:
 
 def parse_announce(protocol: str, payload: Mapping, backend):
     try:
+        if not isinstance(payload["id"], str):
+            raise TypeError(f"identity {payload['id']!r} is not a string")
         identity = payload["id"].encode("utf-8")
         upk = backend.g1_from_bytes(bytes.fromhex(payload["upk"]))
         # an xcl12 announcement must carry R_U; an xcq11 one has none
@@ -98,6 +100,8 @@ def build_view(protocol: str, params: SystemParams, announce_payloads: Sequence[
             return xcq11.Xcq11ImprovedView(parties, t_points, signatures)
         t = {}
         for sender, payload in flows:
+            if not isinstance(payload["t"], dict):
+                raise TypeError("pairwise T-values must be an object")
             for recv_str, point_hex in payload["t"].items():
                 t[(sender, recv_str.encode("utf-8"))] = backend.g1_from_bytes(bytes.fromhex(point_hex))
         return PairwiseView(parties, t)

@@ -21,21 +21,21 @@ ephemerals and long-term scalars at once:
        = e(P, P)^((a + x_A)(b + x_B)(c + x_C))
 
 where base_V = R_V + H1(ID_V || R_V) * P0 = s_V^-1 * P is already in hand
-from round one.  Group operations run inside ``metered(counter)`` and are
-counted at the element operators, never in the curve arithmetic, so the
-cost of the repair is directly measurable: it is four extra point additions
-per party and nothing else.
+from round one: ``round1`` keeps it in the ``peer_bases`` of its
+``session.PairwiseFlow``.  Group operations run inside ``metered(counter)``
+and are counted at the element operators, never in the curve arithmetic,
+so the cost of the repair is directly measurable: it is four extra point
+additions per party and nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import MissingTranscriptFieldError
 from .keyinfra import XCL12_H2, SystemParams, Xcl12UserKeys, masked_base
-from .pairing import G1Point, G2Elem, OpCounter, Scalar, metered
-from .session import PairwiseView, PartyPublic, SessionKey
+from .pairing import G1Point, G2Elem, OpCounter, metered
+from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey
 
 
 #: the announcement {ID_U, upk_U, R_U}, with R_U as ``r_point``
@@ -49,18 +49,8 @@ class SharedValues:
     k3: G2Elem
 
 
-@dataclass(frozen=True)
-class Xcl12Flow:
-    """Round-one state: ephemeral, per-peer T-values, and the peer base points.
-
-    ``peer_bases`` caches R_V + H1(ID_V || R_V) * P0, computed anyway while
-    building the T-values; the repaired derivation reuses it, which is what
-    keeps the repair at four extra additions.
-    """
-
-    ephemeral: Scalar
-    t_out: Mapping[bytes, G1Point]
-    peer_bases: Mapping[bytes, G1Point]
+#: round-one state: ephemeral, per-peer T-values, and the peer base points
+Xcl12Flow = PairwiseFlow
 
 
 #: the shared-values session view; one T-value per ordered pair of parties
@@ -87,16 +77,11 @@ def session_key(params: SystemParams, view: Xcl12View, shared: SharedValues) -> 
 
 
 def _session_inputs(params, own, flow, view):
-    """Common prefix of both derivations: unmask peers and build k1."""
-    view.require_complete()
-    backend = params.backend
-    peers = [p for p in view.ordered if p.identity != own.identity]
-    if len(peers) != 2:
-        raise MissingTranscriptFieldError(f"own identity {own.identity!r} not in the session view")
-    own_point = flow.ephemeral * backend.P
-    unmasked = {peer.identity: own.partial.s_u * view.t[(peer.identity, own.identity)] for peer in peers}
-    k1 = own_point + unmasked[peers[0].identity] + unmasked[peers[1].identity]
-    return backend, peers, unmasked, k1
+    """Common prefix of both derivations: the peers V and W, u_V*P and u_W*P, and k1."""
+    peers = view.peers(own.identity)
+    unmasked_v, unmasked_w = [own.partial.s_u * view.t[(peer.identity, own.identity)] for peer in peers]
+    k1 = flow.ephemeral * params.backend.P + unmasked_v + unmasked_w
+    return peers, unmasked_v, unmasked_w, k1
 
 
 def derive(
@@ -107,9 +92,9 @@ def derive(
     counter: OpCounter | None = None,
 ) -> tuple[SharedValues, SessionKey]:
     with metered(counter):
-        backend, (v, w), unmasked, k1 = _session_inputs(params, own, flow, view)
-        k2 = backend.pair(unmasked[v.identity], unmasked[w.identity]) ** flow.ephemeral
-        k3 = backend.pair(v.upk, w.upk) ** own.secret_value
+        (v, w), unmasked_v, unmasked_w, k1 = _session_inputs(params, own, flow, view)
+        k2 = params.backend.pair(unmasked_v, unmasked_w) ** flow.ephemeral
+        k3 = params.backend.pair(v.upk, w.upk) ** own.secret_value
     shared = SharedValues(k1, k2, k3)
     return shared, SessionKey(session_key(params, view, shared), shared)
 
@@ -122,12 +107,10 @@ def improved_derive(
     counter: OpCounter | None = None,
 ) -> tuple[SharedValues, SessionKey]:
     with metered(counter):
-        backend, (v, w), unmasked, k1 = _session_inputs(params, own, flow, view)
-        arg_v = unmasked[v.identity] + flow.peer_bases[v.identity]
-        arg_w = unmasked[w.identity] + flow.peer_bases[w.identity]
-        k2 = backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.partial.s_u.inverse())
-        arg_v = unmasked[v.identity] + v.upk
-        arg_w = unmasked[w.identity] + w.upk
-        k3 = backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.secret_value)
+        (v, w), unmasked_v, unmasked_w, k1 = _session_inputs(params, own, flow, view)
+        arg_v = unmasked_v + flow.peer_bases[v.identity]
+        arg_w = unmasked_w + flow.peer_bases[w.identity]
+        k2 = params.backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.partial.s_u.inverse())
+        k3 = params.backend.pair(unmasked_v + v.upk, unmasked_w + w.upk) ** (flow.ephemeral + own.secret_value)
     shared = SharedValues(k1, k2, k3)
     return shared, SessionKey(session_key(params, view, shared), shared)

@@ -22,16 +22,10 @@ from . import clsig
 from .errors import SignatureInvalidError
 from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
-from .session import PairwiseView, PartyPublic, SessionKey, SessionView
+from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey, SessionView
 
-
-@dataclass(frozen=True)
-class Xcq11Outgoing:
-    """Round-one state: the retained ephemeral and the per-peer T-values."""
-
-    ephemeral: Scalar
-    t_out: Mapping[bytes, G1Point]  # receiver identity -> T value
-
+#: round-one state: the retained ephemeral and the per-peer T-values
+Xcq11Outgoing = PairwiseFlow
 
 #: the masked-point session view; one T-value per ordered pair of parties
 Xcq11View = PairwiseView
@@ -55,12 +49,10 @@ def session_key(params: SystemParams, view: SessionView, shared: G2Elem) -> byte
 
 def derive(params: SystemParams, own: Xcq11UserKeys, state: Xcq11Outgoing, view: Xcq11View) -> SessionKey:
     """Unmask the two incoming T-values with the full key and derive K."""
-    view.require_complete()
     backend = params.backend
     shared = backend.g ** state.ephemeral
-    for peer in view.ordered:
-        if peer.identity != own.identity:
-            shared = shared * backend.pair(view.t[(peer.identity, own.identity)], own.full_key)
+    for peer in view.peers(own.identity):
+        shared = shared * backend.pair(view.t[(peer.identity, own.identity)], own.full_key)
     return SessionKey(session_key(params, view, shared), shared)
 
 
@@ -123,12 +115,10 @@ def improved_derive(
     Raises ``SignatureInvalidError`` naming the offending peer; no key is
     produced in that case.
     """
-    view.require_complete()
-    backend = params.backend
-    peers = [p for p in view.ordered if p.identity != own.identity]
-    for peer in peers:
+    v, w = view.peers(own.identity)
+    for peer in (v, w):
         message = signed_payload(view.t_points[peer.identity], peer.upk)
         if not clsig.verify(params, peer.identity, peer.upk, message, view.signatures[peer.identity]):
             raise SignatureInvalidError(peer.identity)
-    shared = backend.pair(view.t_points[peers[0].identity], view.t_points[peers[1].identity]) ** state.ephemeral
+    shared = params.backend.pair(view.t_points[v.identity], view.t_points[w.identity]) ** state.ephemeral
     return SessionKey(session_key(params, view, shared), shared)

@@ -59,3 +59,21 @@ def test_non_hex_pairwise_t_value_rejected(protocol):
     flows[0] = (sender, {"t": {**payload["t"], receiver: "not hex"}})
     with pytest.raises(EncodingError, match="malformed flows payload"):
         wire.build_view(protocol, run.world.params, announces, flows)
+
+
+@pytest.mark.parametrize("identity", [7, None, ["alice"], {"id": "alice"}], ids=["int", "null", "list", "object"])
+def test_non_string_identity_rejected(identity):
+    run, announces, flows = decoded_session("xcq11")
+    announces[0] = {**announces[0], "id": identity}
+    with pytest.raises(EncodingError, match="malformed announcement payload"):
+        wire.build_view("xcq11", run.world.params, announces, flows)
+
+
+@pytest.mark.parametrize("protocol", ["xcq11", "xcl12", "xcl12i"])
+@pytest.mark.parametrize("t_values", ["00", 7, None, [["alice", "00"]]], ids=["string", "int", "null", "list"])
+def test_pairwise_t_values_that_are_no_object_rejected(protocol, t_values):
+    run, announces, flows = decoded_session(protocol)
+    sender, payload = flows[1]
+    flows[1] = (sender, {**payload, "t": t_values})
+    with pytest.raises(EncodingError, match="malformed flows payload"):
+        wire.build_view(protocol, run.world.params, announces, flows)
