@@ -145,8 +145,6 @@ class AttackOutcome:
     harness collected; it is computed by the harness, never self-reported.
     """
 
-    attack: str
-    protocol: str
     success: bool
     adversary_key: Optional[bytes]
     honest_keys: Mapping[bytes, Optional[bytes]]
@@ -156,8 +154,6 @@ class AttackOutcome:
 
 
 def judge_outcome(
-    attack: str,
-    protocol: str,
     result: AdversaryResult,
     honest_keys: Mapping[bytes, Optional[bytes]],
     aborted: tuple[bytes, ...],
@@ -175,8 +171,6 @@ def judge_outcome(
         elif not success:
             failure = "derived key does not match the honest session key"
     return AttackOutcome(
-        attack=attack,
-        protocol=protocol,
         success=success,
         adversary_key=result.derived_key,
         honest_keys=dict(honest_keys),

@@ -63,14 +63,8 @@ class ScenarioConfig:
             raise ScenarioError(f"key_bits must be {KEY_BITS_RULE}, not {self.key_bits!r}")
 
     def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "profile": self.profile,
-            "seed": self.seed,
-            "identities": list(self.identities),
-            "attack": self.attack,
-            "key_bits": self.key_bits,
-        }
+        # every field in declaration order, the identities as a JSON list
+        return {name: getattr(self, name) for name in self.__dataclass_fields__} | {"identities": list(self.identities)}
 
     @classmethod
     def from_json(cls, obj: Mapping, protocol: Optional[str] = None) -> "ScenarioConfig":
@@ -196,7 +190,7 @@ class PartyMachine:
         return key
 
 
-class HonestSlotImpersonator:
+class HonestSlotImpersonator(PartyMachine):
     """Live 'adversary' that plays the honest protocol with real keys.
 
     Exists to check that adversarial plumbing never touches honest code
@@ -204,18 +198,8 @@ class HonestSlotImpersonator:
     run through the adversary slot must be bit-identical to an honest run.
     """
 
-    def __init__(self, protocol: str, params: SystemParams, user, rng):
-        self.machine = PartyMachine(protocol, params, user, rng)
-
-    def announcement(self):
-        return self.machine.announcement()
-
-    def flows(self, peers):
-        return self.machine.flows(peers)
-
     def finish(self, view) -> attacks.AdversaryResult:
-        key = self.machine.derive(view)
-        return attacks.AdversaryResult(key.key, {})
+        return attacks.AdversaryResult(self.derive(view).key, {})
 
 
 @dataclass
@@ -238,24 +222,23 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
     protocol = config.protocol
     params = world.params
     ids = canonical_identities(world.users.keys())
-    impostor_id = ids[2] if impostor is not None else None
 
-    machines = {}
-    for identity in ids:
-        if identity == impostor_id:
-            continue
-        machines[identity] = PartyMachine(
+    # an impostor takes the last slot; honest machines hold the others
+    machines = {
+        identity: PartyMachine(
             protocol,
             params,
             world.users[identity],
             rng_for(config.seed, "party", identity.decode()),
             counter=None if counters is None else counters[identity],
         )
+        for identity in (ids if impostor is None else ids[:2])
+    }
+    actors = machines if impostor is None else {**machines, ids[2]: impostor}
 
     session_id = f"{protocol}-{config.profile}-s{config.seed}"
     messages = []
 
-    actors = {i: impostor if i == impostor_id else machines[i] for i in ids}
     announcements = {}
     for identity in ids:
         ann = actors[identity].announcement()
@@ -278,11 +261,9 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
 
     keys = {}
     aborted = []
-    for identity in ids:
-        if identity == impostor_id:
-            continue
+    for identity, machine in machines.items():
         try:
-            keys[identity] = machines[identity].derive(view)
+            keys[identity] = machine.derive(view)
         except SignatureInvalidError:
             keys[identity] = None
             aborted.append(identity)
@@ -387,7 +368,7 @@ def run_attack_scenario(config: ScenarioConfig) -> AttackRun:
         run = _drive_session(world, impostor=adversary)
         result = run.adversary_result
     honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
-    outcome = attacks.judge_outcome(config.attack, config.protocol, result, honest_keys, run.aborted, failure)
+    outcome = attacks.judge_outcome(result, honest_keys, run.aborted, failure)
     report = build_attack_report(config, knowledge, outcome, run.transcript, world)
     return AttackRun(config, outcome, run.transcript, report)
 
@@ -460,7 +441,7 @@ def regenerate_report(report: Mapping) -> dict:
         # count-ops runs both xcl12 variants, so its config names no protocol
         config = ScenarioConfig.from_json(report.get("config"), protocol="xcl12")
         return count_operations(config.seed, config.profile, config.identities)
-    raise ScenarioError(f"cannot replay report of kind {kind!r}")
+    raise EncodingError(f"cannot replay report of kind {kind!r}")
 
 
 def replay_report(report: Mapping) -> tuple[bool, dict]:

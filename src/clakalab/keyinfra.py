@@ -196,16 +196,14 @@ def xcl12_user_keygen(params: SystemParams, identity: bytes, partial: Xcl12Parti
 def make_user(family: str, params: SystemParams, msk: MasterKey, identity: bytes, rng):
     """Run one pipeline end to end, checking the partial key on receipt."""
     if family == "xcq11":
-        partial = xcq11_extract_partial(params, msk, identity)
-        if not xcq11_verify_partial(params, identity, partial):
-            raise DegenerateScalarError("freshly extracted partial key failed verification")
-        return xcq11_user_keygen(params, identity, partial, rng)
-    if family == "xcl12":
-        partial = xcl12_extract_partial(params, msk, identity, rng)
-        if not xcl12_verify_partial(params, identity, partial):
-            raise DegenerateScalarError("freshly extracted partial key failed verification")
-        return xcl12_user_keygen(params, identity, partial, rng)
-    raise ScenarioError(f"unknown key pipeline {family!r}")
+        partial, verify, keygen = xcq11_extract_partial(params, msk, identity), xcq11_verify_partial, xcq11_user_keygen
+    elif family == "xcl12":
+        partial, verify, keygen = xcl12_extract_partial(params, msk, identity, rng), xcl12_verify_partial, xcl12_user_keygen
+    else:
+        raise ScenarioError(f"unknown key pipeline {family!r}")
+    if not verify(params, identity, partial):
+        raise DegenerateScalarError("freshly extracted partial key failed verification")
+    return keygen(params, identity, partial, rng)
 
 
 # -- key material import/export ------------------------------------------------

@@ -86,6 +86,21 @@ def encode_parts(parts: Iterable[bytes]) -> bytes:
     return bytes(out)
 
 
+def _scalar_value(owner, k) -> Optional[int]:
+    """``k`` as an integer mod q of ``owner``'s backend, or None if it is neither a Scalar nor an int.
+
+    ``owner`` is the Scalar or group element ``k`` is combined with; a Scalar
+    of another backend raises.
+    """
+    if isinstance(k, Scalar):
+        if k.backend is not owner.backend:
+            raise BackendMismatchError(f"scalar and {type(owner).__name__} belong to different backends")
+        return k.value
+    if isinstance(k, int):
+        return k % owner.backend.q
+    return None
+
+
 class Scalar:
     """Residue mod the group order q, tied to the backend that created it."""
 
@@ -95,17 +110,8 @@ class Scalar:
         self.backend = backend
         self.value = value % backend.q
 
-    def _operand(self, other) -> Optional[int]:
-        if isinstance(other, Scalar):
-            if other.backend is not self.backend:
-                raise BackendMismatchError("scalars belong to different backends")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
     def __add__(self, other):
-        v = self._operand(other)
+        v = _scalar_value(self, other)
         if v is None:
             return NotImplemented
         return Scalar(self.backend, self.value + v)
@@ -113,27 +119,18 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._operand(other)
+        v = _scalar_value(self, other)
         if v is None:
             return NotImplemented
         return Scalar(self.backend, self.value - v)
 
-    def __rsub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.backend, v - self.value)
-
     def __mul__(self, other):
-        v = self._operand(other)
+        v = _scalar_value(self, other)
         if v is None:
             return NotImplemented
         return Scalar(self.backend, self.value * v)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(self.backend, -self.value)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -157,7 +154,7 @@ class Scalar:
         return Scalar(self.backend, pow(self.value, -1, self.backend.q))
 
     def to_bytes(self) -> bytes:
-        return self.backend.scalar_to_bytes(self)
+        return self.value.to_bytes(self.backend.scalar_width, "big")
 
 
 @dataclass
@@ -217,16 +214,6 @@ class _Element:
     def __repr__(self):
         return f"{type(self).__name__}({self.to_bytes().hex()[:16]}...)"
 
-    def _exponent(self, k) -> Optional[int]:
-        """``k`` as an integer mod q, or None if it is neither a Scalar nor an int."""
-        if isinstance(k, Scalar):
-            if k.backend is not self.backend:
-                raise BackendMismatchError(f"scalar and {type(self).__name__} belong to different backends")
-            return k.value
-        if isinstance(k, int):
-            return k % self.backend.q
-        return None
-
 
 class G1Point(_Element):
     """Element of the additive source group G1."""
@@ -256,7 +243,7 @@ class G1Point(_Element):
         return G1Point(self.backend, self.backend._g1_neg(self.data))
 
     def _scale(self, k) -> "G1Point":
-        k = self._exponent(k)
+        k = _scalar_value(self, k)
         if k is None:
             return NotImplemented
         if _meter is not None:
@@ -286,7 +273,7 @@ class G2Elem(_Element):
         return G2Elem(self.backend, self.backend._g2_mul(self.data, other.data))
 
     def __pow__(self, k):
-        k = self._exponent(k)
+        k = _scalar_value(self, k)
         if k is None:
             return NotImplemented
         if _meter is not None:
@@ -327,9 +314,6 @@ class PairingBackend:
 
     def random_scalar(self, rng) -> Scalar:
         return Scalar(self, rng.randrange(1, self.q))
-
-    def scalar_to_bytes(self, s: Scalar) -> bytes:
-        return s.value.to_bytes(self.scalar_width, "big")
 
     def scalar_from_bytes(self, raw: bytes) -> Scalar:
         return Scalar(self, self._residue(raw, "scalar"))

@@ -24,14 +24,11 @@ from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
 from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey, SessionView
 
-#: round-one state: the retained ephemeral and the per-peer T-values
-Xcq11Outgoing = PairwiseFlow
-
 #: the masked-point session view; one T-value per ordered pair of parties
 Xcq11View = PairwiseView
 
 
-def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> Xcq11Outgoing:
+def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> PairwiseFlow:
     """Pick one ephemeral and mask it toward each peer.
 
     Needs no keys of the sender at all, only the peers' public data; the
@@ -39,7 +36,7 @@ def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> Xcq11Outg
     """
     u = params.backend.random_scalar(rng)
     t_out = {p.identity: u * combined_public(params, p.identity, p.upk) for p in peers}
-    return Xcq11Outgoing(u, t_out)
+    return PairwiseFlow(u, t_out)
 
 
 def session_key(params: SystemParams, view: SessionView, shared: G2Elem) -> bytes:
@@ -47,7 +44,7 @@ def session_key(params: SystemParams, view: SessionView, shared: G2Elem) -> byte
     return params.backend.kdf(XCQ11_H3, view.kdf_prefix() + [shared.to_bytes()], params.key_bits)
 
 
-def derive(params: SystemParams, own: Xcq11UserKeys, state: Xcq11Outgoing, view: Xcq11View) -> SessionKey:
+def derive(params: SystemParams, own: Xcq11UserKeys, state: PairwiseFlow, view: Xcq11View) -> SessionKey:
     """Unmask the two incoming T-values with the full key and derive K."""
     backend = params.backend
     shared = backend.g ** state.ephemeral

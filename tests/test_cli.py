@@ -122,6 +122,9 @@ MALFORMED_REPORTS = {
     "key-bits-a-string": {"kind": "run", "config": {"protocol": "xcq11", "key_bits": "256"}},
     "key-bits-huge": {"kind": "run", "config": {"protocol": "xcq11", "key_bits": 2**70}},
     "identity-not-utf8": {"kind": "run", "config": {"protocol": "xcq11", "identities": ["\ud800", "b", "c"]}},
+    "no-kind": {"config": {"protocol": "xcq11"}},
+    "unknown-kind": {"kind": "foo", "config": {"protocol": "xcq11"}},
+    "kind-a-list": {"kind": ["run"], "config": {"protocol": "xcq11"}},
 }
 
 

@@ -1,5 +1,8 @@
 """Harness: orchestration, transcripts, replay, determinism, purity."""
 
+import dataclasses
+import json
+
 import pytest
 
 from clakalab import harness, wire
@@ -154,6 +157,16 @@ def test_config_validation():
 def test_config_json_round_trip():
     config = ScenarioConfig(protocol="xcl12i", profile="t1009", seed=9, attack="kci-common")
     assert ScenarioConfig.from_json(config.to_json()) == config
+    for config in (
+        ScenarioConfig(protocol="xcq11"),
+        ScenarioConfig(protocol="xcq11i", key_bits=128),
+        ScenarioConfig(protocol="xcl12", identities=("zed", "amy", "kim")),
+        ScenarioConfig(protocol="xcl12i", profile="c256"),
+    ):
+        stored = config.to_json()
+        assert list(stored) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert isinstance(stored["identities"], list) and stored["identities"] == list(config.identities)
+        assert ScenarioConfig.from_json(json.loads(json.dumps(stored))) == config
 
 
 def test_count_operations_report():

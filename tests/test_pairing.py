@@ -61,6 +61,13 @@ def test_backend_mismatch_rejected(t1009, t256):
         t256.scalar(3) * t1009.P
     with pytest.raises(BackendMismatchError):
         t1009.pair(t1009.P, t256.P)
+    with pytest.raises(BackendMismatchError):
+        t1009.g ** t256.scalar(3)
+    with pytest.raises(BackendMismatchError):
+        t1009.scalar(3) * t256.scalar(3)
+    with pytest.raises(BackendMismatchError):
+        t1009.scalar(3) - t256.scalar(3)
+    assert (t1009.scalar(3) == t256.scalar(3)) is False
 
 
 # -- pairing -----------------------------------------------------------------
