@@ -81,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> harness.ScenarioConfig:
+def _config_from_args(args, protocol=None) -> harness.ScenarioConfig:
     identities = tuple(i for i in args.ids.split(",") if i)
     profile = args.profile or default_profile(args.backend)
     return harness.ScenarioConfig(
-        protocol=args.protocol,
+        protocol=protocol or args.protocol,
         profile=profile,
         seed=args.seed,
         identities=identities,
@@ -164,7 +164,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_count_ops(args) -> int:
-    config = _config_from_args(args)
+    # count-ops runs both xcl12 variants whatever --protocol says
+    config = _config_from_args(args, protocol="xcl12")
     report = harness.count_operations(config.seed, config.profile, config.identities)
     if args.out:
         _write_out(args.out, report)

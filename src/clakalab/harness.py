@@ -39,7 +39,7 @@ def rng_for(seed: int, *labels: str) -> random.Random:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything that determines one run, honest or adversarial."""
+    """Everything that determines one run, honest or adversarial; valid by construction."""
 
     protocol: str
     profile: str = DEFAULT_PROFILE
@@ -48,17 +48,25 @@ class ScenarioConfig:
     attack: Optional[str] = None
     key_bits: int = DEFAULT_KEY_BITS
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.protocol not in PROTOCOL_VARIANTS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
+        if self.profile not in PROFILE_NAMES:
+            raise ScenarioError(f"unknown profile {self.profile!r}")
+        if type(self.seed) is not int:
+            raise ScenarioError(f"seed must be an integer, not {self.seed!r}")
+        # checked before set(), which needs hashable items
+        if not isinstance(self.identities, tuple) or not all(valid_identity(i) for i in self.identities):
+            raise ScenarioError("identities must be a tuple of strings that encode as UTF-8")
         if len(self.identities) != 3 or len(set(self.identities)) != 3:
             raise ScenarioError("exactly three distinct identities are required")
-        if not all(valid_identity(i) for i in self.identities):
-            raise ScenarioError("identities must be strings that encode as UTF-8")
-        if self.attack is not None and not attacks.attack_applies(self.attack, self.protocol):
-            raise ScenarioError(
-                f"attack {self.attack!r} is not defined for protocol {self.protocol!r}"
-            )
+        if self.attack is not None and not (
+            isinstance(self.attack, str) and attacks.attack_applies(self.attack, self.protocol)
+        ):
+            raise ScenarioError(f"attack {self.attack!r} is not defined for protocol {self.protocol!r}")
         if not valid_key_bits(self.key_bits):
             raise ScenarioError(f"key_bits must be {KEY_BITS_RULE}, not {self.key_bits!r}")
 
@@ -72,32 +80,19 @@ class ScenarioConfig:
         if not isinstance(obj, Mapping):
             raise EncodingError("malformed scenario config: not a JSON object")
         identities = obj.get("identities", list(DEFAULT_IDENTITIES))
-        if not isinstance(identities, list) or not all(valid_identity(i) for i in identities):
-            raise EncodingError("scenario identities must be a list of UTF-8 strings")
-        seed = obj.get("seed", 0)
-        if type(seed) is not int:
-            raise EncodingError(f"scenario seed must be an integer, not {seed!r}")
-        key_bits = obj.get("key_bits", DEFAULT_KEY_BITS)
-        if not valid_key_bits(key_bits):
-            raise EncodingError(f"scenario key_bits must be {KEY_BITS_RULE}, not {key_bits!r}")
+        if not isinstance(identities, list):
+            raise EncodingError("scenario identities must be a JSON list")
         try:
-            config = cls(
-                protocol=obj["protocol"] if protocol is None else protocol,
+            return cls(
+                protocol=obj.get("protocol") if protocol is None else protocol,
                 profile=obj.get("profile", DEFAULT_PROFILE),
-                seed=seed,
+                seed=obj.get("seed", 0),
                 identities=tuple(identities),
                 attack=obj.get("attack"),
-                key_bits=key_bits,
+                key_bits=obj.get("key_bits", DEFAULT_KEY_BITS),
             )
-        except KeyError as exc:
-            raise EncodingError(f"malformed scenario config: {exc!r}") from exc
-        if not (isinstance(config.protocol, str) and isinstance(config.profile, str)):
-            raise EncodingError("scenario protocol and profile must be strings")
-        if config.attack is not None and not isinstance(config.attack, str):
-            raise EncodingError("scenario attack must be a string or null")
-        if config.profile not in PROFILE_NAMES:
-            raise EncodingError(f"unknown profile {config.profile!r} in scenario config")
-        return config
+        except ScenarioError as exc:
+            raise EncodingError(f"malformed scenario config: {exc}") from exc
 
 
 @dataclass
@@ -114,7 +109,6 @@ class World:
 
 def materialize(config: ScenarioConfig, keyring: Optional[Mapping] = None) -> World:
     """Generate (or adopt) system parameters and all three users' keys."""
-    config.validate()
     fam = family(config.protocol)
     ids = canonical_identities(tuple(i.encode("utf-8") for i in config.identities))
     if keyring is not None:
@@ -343,7 +337,6 @@ class AttackRun:
 
 def run_attack_scenario(config: ScenarioConfig) -> AttackRun:
     """Run one adversary against one protocol variant and judge the result."""
-    config.validate()
     if config.attack is None:
         raise ScenarioError("attack scenarios need an attack")
     world = materialize(config)
@@ -434,6 +427,8 @@ def regenerate_report(report: Mapping) -> dict:
     kind = report.get("kind")
     if kind in ("run", "attack"):
         config = ScenarioConfig.from_json(report.get("config"))
+        if (kind == "attack") != (config.attack is not None):
+            raise EncodingError(f"report kind {kind!r} does not go with attack {config.attack!r}")
         if kind == "run":
             return build_run_report(run_honest_session(config, keyring=report.get("keyring")))
         return run_attack_scenario(config).report

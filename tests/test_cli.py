@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from clakalab import cli
+from clakalab import cli, harness, wire
+from clakalab.keyinfra import identity_hash, setup
+from clakalab.pairing import get_backend
 
 
 def run_cli(*argv):
@@ -76,6 +78,29 @@ def test_unknown_flags_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_run_without_protocol_or_replay_is_usage_error(capsys):
+    assert run_cli("run", "--seed", "1") == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_run_verbose_prints_the_transcript(capsys):
+    args = ("run", "--protocol", "xcq11i", "--profile", "t1009", "--seed", "6")
+    assert run_cli(*args) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(*args, "--verbose") == 0
+    run = harness.run_honest_session(harness.ScenarioConfig("xcq11i", "t1009", seed=6))
+    assert capsys.readouterr().out == wire.canonical_json(run.transcript).decode() + plain
+
+
+def test_protocol_failure_is_protocol_error(capsys):
+    # an identity that hashes to -x leaves the KGC no xcq11 partial key to extract
+    params, msk = setup(get_backend("t1009"), harness.rng_for(0, "setup"))
+    name = next(f"d{i}" for i in range(5000) if (msk.x + identity_hash(params, f"d{i}".encode())).is_zero())
+    args = ("keygen", "--protocol", "xcq11", "--profile", "t1009", "--seed", "0", "--ids", f"{name},b,c")
+    assert run_cli(*args) == cli.EXIT_ABORT
+    assert "protocol error" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert run_cli("replay", str(tmp_path / "absent.json")) == cli.EXIT_IO
     assert run_cli("run", "--protocol", "xcq11", "--keys", str(tmp_path / "absent.json")) == cli.EXIT_IO
@@ -125,6 +150,13 @@ MALFORMED_REPORTS = {
     "no-kind": {"config": {"protocol": "xcq11"}},
     "unknown-kind": {"kind": "foo", "config": {"protocol": "xcq11"}},
     "kind-a-list": {"kind": ["run"], "config": {"protocol": "xcq11"}},
+    "unknown-protocol": {"kind": "run", "config": {"protocol": "nope"}},
+    "unknown-attack": {"kind": "attack", "config": {"protocol": "xcq11", "attack": "nope"}},
+    "attack-not-on-protocol": {"kind": "attack", "config": {"protocol": "xcq11", "attack": "kci-kgc"}},
+    "two-identities": {"kind": "run", "config": {"protocol": "xcq11", "identities": ["a", "b"]}},
+    "duplicate-identity": {"kind": "run", "config": {"protocol": "xcq11", "identities": ["a", "b", "a"]}},
+    "run-with-attack": {"kind": "run", "config": {"protocol": "xcq11", "attack": "fs"}},
+    "attack-without-attack": {"kind": "attack", "config": {"protocol": "xcq11"}},
 }
 
 
