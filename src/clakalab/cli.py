@@ -27,13 +27,16 @@ EXIT_ABORT = 4
 EXIT_UNEXPECTED = 5
 
 
-def _add_common(parser: argparse.ArgumentParser, protocol_required: bool = True) -> None:
+def _add_protocol(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument(
         "--protocol",
         choices=PROTOCOL_VARIANTS,
-        required=protocol_required,
+        required=required,
         help="protocol variant (trailing 'i' marks the repaired variant)",
     )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=("transparent", "crypto"),
@@ -60,20 +63,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate KGC and user key material")
+    _add_protocol(p)
     _add_common(p)
 
     p = sub.add_parser("run", help="run one honest session")
-    _add_common(p, protocol_required=False)
+    _add_protocol(p, required=False)
+    _add_common(p)
     p.add_argument("--keys", default=None, help="key file from 'keygen' instead of seed-derived keys")
     p.add_argument("--replay", default=None, help="verify that a stored run report reproduces exactly")
     p.add_argument("--verbose", action="store_true", help="print the transcript as well")
 
     p = sub.add_parser("attack", help="run one attack scenario")
+    _add_protocol(p)
     _add_common(p)
     p.add_argument("--attack", choices=sorted(attacks.ATTACK_FAMILIES), required=True)
 
     p = sub.add_parser("count-ops", help="compare group-operation counts of the shared-values variants")
-    _add_common(p, protocol_required=False)
+    _add_common(p)
 
     p = sub.add_parser("replay", help="re-run a stored report and compare byte-for-byte")
     p.add_argument("report", help="path of a stored JSON report")
@@ -164,7 +170,6 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_count_ops(args) -> int:
-    # count-ops runs both xcl12 variants whatever --protocol says
     config = _config_from_args(args, protocol="xcl12")
     report = harness.count_operations(config.seed, config.profile, config.identities)
     if args.out:

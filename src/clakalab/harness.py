@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 from . import attacks, keyinfra, wire, xcl12, xcq11
 from .errors import EncodingError, ScenarioError, SignatureInvalidError
 from .keyinfra import SystemParams, setup
-from .pairing import DEFAULT_KEY_BITS, KEY_BITS_RULE, PROFILE_NAMES, get_backend, valid_key_bits
+from .pairing import DEFAULT_KEY_BITS, KEY_BITS_RULE, PROFILE_NAMES, OpCounter, get_backend, metered, valid_key_bits
 from .session import (
     PROTOCOL_VARIANTS,
     PartyPublic,
@@ -140,14 +140,17 @@ def public_record(protocol: str, user):
 
 
 class PartyMachine:
-    """One honest participant: announce, send flows, derive, maybe abort."""
+    """One honest participant: announce, send flows, derive, maybe abort.
 
-    def __init__(self, protocol: str, params: SystemParams, user, rng, counter=None):
+    ``counter`` holds the group operations of its own ``flows`` and ``derive``.
+    """
+
+    def __init__(self, protocol: str, params: SystemParams, user, rng):
         self.protocol = protocol
         self.params = params
         self.user = user
         self.rng = rng
-        self.counter = counter
+        self.counter = OpCounter()
         self.phase = "init"
         self.state = None
         self.key: Optional[SessionKey] = None
@@ -157,25 +160,27 @@ class PartyMachine:
         return public_record(self.protocol, self.user)
 
     def flows(self, peers):
-        if self.protocol == "xcq11":
-            self.state = xcq11.round1(self.params, peers, self.rng)
-        elif self.protocol == "xcq11i":
-            self.state = xcq11.improved_round1(self.params, self.user, self.rng)
-        else:
-            self.state = xcl12.round1(self.params, peers, self.rng, self.counter)
+        with metered(self.counter):
+            if self.protocol == "xcq11":
+                self.state = xcq11.round1(self.params, peers, self.rng)
+            elif self.protocol == "xcq11i":
+                self.state = xcq11.improved_round1(self.params, self.user, self.rng)
+            else:
+                self.state = xcl12.round1(self.params, peers, self.rng)
         self.phase = "flows-sent"
         return self.state
 
     def derive(self, view) -> SessionKey:
         try:
-            if self.protocol == "xcq11":
-                key = xcq11.derive(self.params, self.user, self.state, view)
-            elif self.protocol == "xcq11i":
-                key = xcq11.improved_derive(self.params, self.user, self.state, view)
-            elif self.protocol == "xcl12":
-                _, key = xcl12.derive(self.params, self.user, self.state, view, self.counter)
-            else:
-                _, key = xcl12.improved_derive(self.params, self.user, self.state, view, self.counter)
+            with metered(self.counter):
+                if self.protocol == "xcq11":
+                    key = xcq11.derive(self.params, self.user, self.state, view)
+                elif self.protocol == "xcq11i":
+                    key = xcq11.improved_derive(self.params, self.user, self.state, view)
+                elif self.protocol == "xcl12":
+                    _, key = xcl12.derive(self.params, self.user, self.state, view)
+                else:
+                    _, key = xcl12.improved_derive(self.params, self.user, self.state, view)
         except SignatureInvalidError:
             self.phase = "aborted"
             raise
@@ -207,10 +212,11 @@ class SessionRun:
     aborted: tuple[bytes, ...]
     view: object
     ephemerals: dict  # identity -> int (honest parties only)
+    op_counts: dict  # identity -> OpCounter of flows and derive (honest parties only)
     adversary_result: Optional[attacks.AdversaryResult] = None
 
 
-def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
+def _drive_session(world: World, impostor=None) -> SessionRun:
     """Run announcements, flows, and derivation over the broadcast channel."""
     config = world.config
     protocol = config.protocol
@@ -219,13 +225,7 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
 
     # an impostor takes the last slot; honest machines hold the others
     machines = {
-        identity: PartyMachine(
-            protocol,
-            params,
-            world.users[identity],
-            rng_for(config.seed, "party", identity.decode()),
-            counter=None if counters is None else counters[identity],
-        )
+        identity: PartyMachine(protocol, params, world.users[identity], rng_for(config.seed, "party", identity.decode()))
         for identity in (ids if impostor is None else ids[:2])
     }
     actors = machines if impostor is None else {**machines, ids[2]: impostor}
@@ -283,6 +283,7 @@ def _drive_session(world: World, impostor=None, counters=None) -> SessionRun:
         aborted=tuple(aborted),
         view=view,
         ephemerals=ephemerals,
+        op_counts={identity: machine.counter for identity, machine in machines.items()},
         adversary_result=adversary_result,
     )
 
@@ -395,12 +396,10 @@ def count_operations(seed: int = 0, profile: str = DEFAULT_PROFILE, identities=D
     counts = {}
     for protocol in ("xcl12", "xcl12i"):
         config = ScenarioConfig(protocol=protocol, profile=profile, seed=seed, identities=tuple(identities))
-        world = materialize(config)
-        counters = {i: xcl12.OpCounter() for i in world.users}
-        run = _drive_session(world, counters=counters)
+        run = run_honest_session(config)
         if not agreement_holds(run):
             raise ScenarioError("operation counting requires an agreeing session")
-        counts[protocol] = counters
+        counts[protocol] = run.op_counts
     for identity in counts["xcl12"]:
         base = counts["xcl12"][identity]
         improved = counts["xcl12i"][identity]

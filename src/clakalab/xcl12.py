@@ -22,10 +22,10 @@ ephemerals and long-term scalars at once:
 
 where base_V = R_V + H1(ID_V || R_V) * P0 = s_V^-1 * P is already in hand
 from round one: ``round1`` keeps it in the ``peer_bases`` of its
-``session.PairwiseFlow``.  Group operations run inside ``metered(counter)``
-and are counted at the element operators, never in the curve arithmetic,
-so the cost of the repair is directly measurable: it is four extra point
-additions per party and nothing else.
+``session.PairwiseFlow``.  The harness counts each party's group operations
+at the element operators, never in the curve arithmetic, so the cost of the
+repair is directly measurable: it is four extra point additions per party
+and nothing else.
 """
 
 from __future__ import annotations
@@ -34,12 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .keyinfra import XCL12_H2, SystemParams, Xcl12UserKeys, masked_base
-from .pairing import G1Point, G2Elem, OpCounter, metered
+from .pairing import G1Point, G2Elem
 from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey
-
-
-#: the announcement {ID_U, upk_U, R_U}, with R_U as ``r_point``
-Announcement = PartyPublic
 
 
 @dataclass(frozen=True)
@@ -49,24 +45,15 @@ class SharedValues:
     k3: G2Elem
 
 
-#: round-one state: ephemeral, per-peer T-values, and the peer base points
-Xcl12Flow = PairwiseFlow
-
-
-#: the shared-values session view; one T-value per ordered pair of parties
-Xcl12View = PairwiseView
-
-
-def round1(params: SystemParams, peers: Sequence[Announcement], rng, counter: OpCounter | None = None) -> Xcl12Flow:
+def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> PairwiseFlow:
     """Mask one fresh ephemeral toward each peer's base point."""
     u = params.backend.random_scalar(rng)
-    with metered(counter):
-        bases = {peer.identity: masked_base(params, peer.identity, peer.r_point) for peer in peers}
-        t_out = {identity: u * base for identity, base in bases.items()}
-    return Xcl12Flow(u, t_out, bases)
+    bases = {peer.identity: masked_base(params, peer.identity, peer.r_point) for peer in peers}
+    t_out = {identity: u * base for identity, base in bases.items()}
+    return PairwiseFlow(u, t_out, bases)
 
 
-def session_key(params: SystemParams, view: Xcl12View, shared: SharedValues) -> bytes:
+def session_key(params: SystemParams, view: PairwiseView, shared: SharedValues) -> bytes:
     """KDF over identities, upks, all six T-values, and (k1, k2, k3).
 
     The announcement points R_U are deliberately not part of the list; they
@@ -87,14 +74,12 @@ def _session_inputs(params, own, flow, view):
 def derive(
     params: SystemParams,
     own: Xcl12UserKeys,
-    flow: Xcl12Flow,
-    view: Xcl12View,
-    counter: OpCounter | None = None,
+    flow: PairwiseFlow,
+    view: PairwiseView,
 ) -> tuple[SharedValues, SessionKey]:
-    with metered(counter):
-        (v, w), unmasked_v, unmasked_w, k1 = _session_inputs(params, own, flow, view)
-        k2 = params.backend.pair(unmasked_v, unmasked_w) ** flow.ephemeral
-        k3 = params.backend.pair(v.upk, w.upk) ** own.secret_value
+    (v, w), unmasked_v, unmasked_w, k1 = _session_inputs(params, own, flow, view)
+    k2 = params.backend.pair(unmasked_v, unmasked_w) ** flow.ephemeral
+    k3 = params.backend.pair(v.upk, w.upk) ** own.secret_value
     shared = SharedValues(k1, k2, k3)
     return shared, SessionKey(session_key(params, view, shared), shared)
 
@@ -102,15 +87,13 @@ def derive(
 def improved_derive(
     params: SystemParams,
     own: Xcl12UserKeys,
-    flow: Xcl12Flow,
-    view: Xcl12View,
-    counter: OpCounter | None = None,
+    flow: PairwiseFlow,
+    view: PairwiseView,
 ) -> tuple[SharedValues, SessionKey]:
-    with metered(counter):
-        (v, w), unmasked_v, unmasked_w, k1 = _session_inputs(params, own, flow, view)
-        arg_v = unmasked_v + flow.peer_bases[v.identity]
-        arg_w = unmasked_w + flow.peer_bases[w.identity]
-        k2 = params.backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.partial.s_u.inverse())
-        k3 = params.backend.pair(unmasked_v + v.upk, unmasked_w + w.upk) ** (flow.ephemeral + own.secret_value)
+    (v, w), unmasked_v, unmasked_w, k1 = _session_inputs(params, own, flow, view)
+    arg_v = unmasked_v + flow.peer_bases[v.identity]
+    arg_w = unmasked_w + flow.peer_bases[w.identity]
+    k2 = params.backend.pair(arg_v, arg_w) ** (flow.ephemeral + own.partial.s_u.inverse())
+    k3 = params.backend.pair(unmasked_v + v.upk, unmasked_w + w.upk) ** (flow.ephemeral + own.secret_value)
     shared = SharedValues(k1, k2, k3)
     return shared, SessionKey(session_key(params, view, shared), shared)

@@ -24,9 +24,6 @@ from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
 from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey, SessionView
 
-#: the masked-point session view; one T-value per ordered pair of parties
-Xcq11View = PairwiseView
-
 
 def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> PairwiseFlow:
     """Pick one ephemeral and mask it toward each peer.
@@ -44,7 +41,7 @@ def session_key(params: SystemParams, view: SessionView, shared: G2Elem) -> byte
     return params.backend.kdf(XCQ11_H3, view.kdf_prefix() + [shared.to_bytes()], params.key_bits)
 
 
-def derive(params: SystemParams, own: Xcq11UserKeys, state: PairwiseFlow, view: Xcq11View) -> SessionKey:
+def derive(params: SystemParams, own: Xcq11UserKeys, state: PairwiseFlow, view: PairwiseView) -> SessionKey:
     """Unmask the two incoming T-values with the full key and derive K."""
     backend = params.backend
     shared = backend.g ** state.ephemeral

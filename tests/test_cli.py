@@ -118,6 +118,12 @@ def test_count_ops(tmp_path, capsys):
     assert run_cli("replay", str(report)) == 0
 
 
+def test_count_ops_takes_no_protocol(capsys):
+    # count-ops always compares xcl12 with xcl12i, so a protocol flag is a usage error
+    assert run_cli("count-ops", "--protocol", "xcq11", "--seed", "1") == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_keygen_to_stdout(capsys):
     assert run_cli("keygen", "--protocol", "xcl12", "--seed", "1") == 0
     out = capsys.readouterr().out

@@ -49,6 +49,12 @@ C160_ATTACK_REPORT_DIGESTS = {
     ("kci-common", "xcl12i"): "177cbcaa03cac80fb9031355bbbd5e724ba5b8394b5f696ab72ce3795e81a6fb",
 }
 
+# sha256 of canonical_json(count_operations(seed=0, profile=...))
+COUNT_OPS_DIGESTS = {
+    "t256": "de3d70fb9d2ded9b24483f9f006e75701e5926113f9278023035b74d51487d45",
+    "c160": "8a7d58e0698a9b08cebec06d2f283350e7213989374fdc46f67dc1c55ada7054",
+}
+
 
 def _digest(report: dict) -> str:
     return hashlib.sha256(wire.canonical_json(report)).hexdigest()
@@ -78,3 +84,8 @@ def test_frozen_c160_attack_report_digest(attack, protocol):
     config = ScenarioConfig(protocol=protocol, profile="c160", seed=0, attack=attack)
     report = harness.run_attack_scenario(config).report
     assert _digest(report) == C160_ATTACK_REPORT_DIGESTS[(attack, protocol)]
+
+
+@pytest.mark.parametrize("profile", sorted(COUNT_OPS_DIGESTS))
+def test_frozen_count_ops_report_digest(profile):
+    assert _digest(harness.count_operations(seed=0, profile=profile)) == COUNT_OPS_DIGESTS[profile]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from clakalab import harness, wire
+from clakalab import attacks, harness, wire
 from clakalab.errors import ScenarioError, SignatureInvalidError
 from clakalab.harness import HonestSlotImpersonator, ScenarioConfig
 from clakalab.keyinfra import keyring_to_json
@@ -181,6 +181,47 @@ def test_count_operations_report():
 def test_count_operations_same_on_the_curve_as_on_residues():
     # the counts come from the element operators, whichever backend is below them
     assert harness.count_operations(profile="c160")["parties"] == harness.count_operations(profile="t1009")["parties"]
+
+
+# per-party counts of flows plus derive, worked out from the step functions:
+# xcq11 round one builds each peer's combined public point (2 adds, 2 muls)
+# and masks u toward it (1 mul); derive takes g**u and two pairings.
+# xcq11i round one takes u*P, its own combined public point and clsig.sign
+# (k*P, one pairing, c*S_U, one add); derive verifies two signatures (a
+# combined public point, a pairing and g**c each) and takes e(T_V, T_W)**u.
+XCQ11_PARTY_COUNTS = {
+    "xcq11": {"point_adds": 4, "scalar_muls": 6, "pairings": 2, "g2_exps": 1},
+    "xcq11i": {"point_adds": 7, "scalar_muls": 9, "pairings": 4, "g2_exps": 3},
+}
+
+
+@pytest.mark.parametrize("profile", ["t1009", "c160"])
+@pytest.mark.parametrize("protocol", PROTOCOL_VARIANTS)
+def test_every_honest_party_has_its_operation_counts(protocol, profile):
+    run = harness.run_honest_session(ScenarioConfig(protocol=protocol, profile=profile, seed=0))
+    assert set(run.op_counts) == set(run.keys)
+    counted = {i.decode(): counter.as_dict() for i, counter in run.op_counts.items()}
+    if protocol in XCQ11_PARTY_COUNTS:
+        assert counted == {party: XCQ11_PARTY_COUNTS[protocol] for party in counted}
+    else:
+        rows = harness.count_operations(seed=0, profile=profile)["parties"]
+        assert counted == {party: row[protocol] for party, row in rows.items()}
+
+
+@pytest.mark.parametrize("attack,protocol", [("kci", "xcq11"), ("kci-kgc", "xcl12i")])
+def test_attack_run_counts_the_honest_machines_only(attack, protocol):
+    config = ScenarioConfig(protocol=protocol, profile="t1009", seed=0, attack=attack)
+    world = harness.materialize(config)
+    ids = canonical_identities(world.users.keys())
+    knowledge = attacks.grant_knowledge(attack, protocol, world.msk, world.users)
+    public = harness.public_record(protocol, world.users[ids[2]])
+    adversary = attacks.make_live_adversary(attack, world.params, knowledge, public, harness.rng_for(0, "adversary"))
+    run = harness._drive_session(world, impostor=adversary)
+    assert set(run.op_counts) == set(ids[:2])
+    # the adversary's group operations reach no honest counter
+    honest = harness.run_honest_session(dataclasses.replace(config, attack=None))
+    for identity, counter in run.op_counts.items():
+        assert counter == honest.op_counts[identity]
 
 
 def test_machine_phases_monotone():

@@ -7,7 +7,8 @@ import pytest
 from clakalab import xcl12
 from clakalab.errors import MissingTranscriptFieldError
 from clakalab.keyinfra import binding_hash, make_user, masked_base, setup
-from clakalab.pairing import get_backend
+from clakalab.pairing import OpCounter, get_backend, metered
+from clakalab.session import PairwiseFlow, PairwiseView, PartyPublic
 
 IDS = (b"alice", b"bob", b"carol")
 
@@ -25,21 +26,23 @@ def make_world(profile="t1009", seed=31):
 
 
 def run_session(params, users, improved=False, seed=5, counters=None):
-    announcements = [xcl12.Announcement(u.identity, u.upk, u.partial.r_u) for u in users.values()]
+    announcements = [PartyPublic(u.identity, u.upk, u.partial.r_u) for u in users.values()]
     flows = {}
     t = {}
     for identity in users:
         peers = [a for a in announcements if a.identity != identity]
         counter = counters[identity] if counters else None
-        flows[identity] = xcl12.round1(params, peers, random.Random(f"{seed}/{identity.decode()}"), counter)
+        with metered(counter):
+            flows[identity] = xcl12.round1(params, peers, random.Random(f"{seed}/{identity.decode()}"))
         for recv, point in flows[identity].t_out.items():
             t[(identity, recv)] = point
-    view = xcl12.Xcl12View(tuple(announcements), t)
+    view = PairwiseView(tuple(announcements), t)
     derive = xcl12.improved_derive if improved else xcl12.derive
     results = {}
     for identity, user in users.items():
         counter = counters[identity] if counters else None
-        results[identity] = derive(params, user, flows[identity], view, counter)
+        with metered(counter):
+            results[identity] = derive(params, user, flows[identity], view)
     return flows, view, results
 
 
@@ -100,9 +103,9 @@ def test_kdf_binds_public_keys():
     tampered_parties = []
     for ann in view.parties:
         if ann.identity == b"carol":
-            ann = xcl12.Announcement(ann.identity, ann.upk + backend.P, ann.r_point)
+            ann = PartyPublic(ann.identity, ann.upk + backend.P, ann.r_point)
         tampered_parties.append(ann)
-    tampered = xcl12.Xcl12View(tuple(tampered_parties), view.t)
+    tampered = PairwiseView(tuple(tampered_parties), view.t)
     assert xcl12.session_key(params, tampered, shared) != key.key
 
 
@@ -110,7 +113,7 @@ def test_missing_fields_rejected():
     _, params, _, users = make_world()
     flows, view, _ = run_session(params, users)
     a, b, c = sorted(users)
-    incomplete = xcl12.Xcl12View(view.parties, {k: v for k, v in view.t.items() if k != (b, c)})
+    incomplete = PairwiseView(view.parties, {k: v for k, v in view.t.items() if k != (b, c)})
     with pytest.raises(MissingTranscriptFieldError):
         xcl12.derive(params, users[a], flows[a], incomplete)
 
@@ -143,17 +146,17 @@ def test_improved_unit_ephemeral_exponent():
     # (1 + s^-1) and (1 + x) computed by plain residue arithmetic
     backend, params, _, users = make_world()
     q = backend.q
-    announcements = [xcl12.Announcement(u.identity, u.upk, u.partial.r_u) for u in users.values()]
+    announcements = [PartyPublic(u.identity, u.upk, u.partial.r_u) for u in users.values()]
     one = backend.scalar(1)
     flows = {}
     t = {}
     for identity in users:
         peers = [a for a in announcements if a.identity != identity]
         bases = {a.identity: masked_base(params, a.identity, a.r_point) for a in peers}
-        flows[identity] = xcl12.Xcl12Flow(one, {i: one * b for i, b in bases.items()}, bases)
+        flows[identity] = PairwiseFlow(one, {i: one * b for i, b in bases.items()}, bases)
         for recv, point in flows[identity].t_out.items():
             t[(identity, recv)] = point
-    view = xcl12.Xcl12View(tuple(announcements), t)
+    view = PairwiseView(tuple(announcements), t)
     shared, _ = xcl12.improved_derive(params, users[b"alice"], flows[b"alice"], view)
     k2_expected = 1
     k3_expected = 1
@@ -167,7 +170,7 @@ def test_improved_unit_ephemeral_exponent():
 def test_operation_counts_frozen():
     _, params, _, users = make_world()
     for improved, expected in ((False, ORIGINAL_COUNTS), (True, IMPROVED_COUNTS)):
-        counters = {i: xcl12.OpCounter() for i in users}
+        counters = {i: OpCounter() for i in users}
         run_session(params, users, improved=improved, counters=counters)
         for counter in counters.values():
             assert counter.as_dict() == expected
@@ -175,9 +178,9 @@ def test_operation_counts_frozen():
 
 def test_operation_count_delta_is_four_additions():
     _, params, _, users = make_world()
-    base = {i: xcl12.OpCounter() for i in users}
+    base = {i: OpCounter() for i in users}
     run_session(params, users, improved=False, counters=base)
-    improved = {i: xcl12.OpCounter() for i in users}
+    improved = {i: OpCounter() for i in users}
     run_session(params, users, improved=True, counters=improved)
     for identity in users:
         delta = base[identity].delta(improved[identity])

@@ -14,7 +14,7 @@ from clakalab.keyinfra import (
     setup,
 )
 from clakalab.pairing import get_backend
-from clakalab.session import PartyPublic
+from clakalab.session import PairwiseView, PartyPublic
 
 IDS = (b"alice", b"bob", b"carol")
 
@@ -36,7 +36,7 @@ def run_original(params, users, seed=5):
         states[identity] = xcq11.round1(params, peers, random.Random(f"{seed}/{identity.decode()}"))
         for recv, point in states[identity].t_out.items():
             t[(identity, recv)] = point
-    view = xcq11.Xcq11View(tuple(publics), t)
+    view = PairwiseView(tuple(publics), t)
     keys = {i: xcq11.derive(params, users[i], states[i], view) for i in users}
     return states, view, keys
 
@@ -115,14 +115,14 @@ def test_kdf_binds_t_values():
     a, b, c = sorted(users)
     tampered_t = dict(view.t)
     tampered_t[(c, b)] = tampered_t[(c, b)] + params.backend.P
-    tampered = xcq11.Xcq11View(view.parties, tampered_t)
+    tampered = PairwiseView(view.parties, tampered_t)
     assert xcq11.session_key(params, tampered, keys[a].shared) != keys[a].key
 
 
 def test_role_permutation_invariant():
     _, params, _, users = make_world()
     states, view, keys = run_original(params, users)
-    shuffled = xcq11.Xcq11View(tuple(reversed(view.parties)), view.t)
+    shuffled = PairwiseView(tuple(reversed(view.parties)), view.t)
     assert xcq11.session_key(params, shuffled, keys[b"alice"].shared) == keys[b"alice"].key
 
 
@@ -130,10 +130,10 @@ def test_missing_transcript_fields_rejected():
     _, params, _, users = make_world()
     states, view, keys = run_original(params, users)
     a, b, c = sorted(users)
-    incomplete = xcq11.Xcq11View(view.parties, {k: v for k, v in view.t.items() if k != (c, b)})
+    incomplete = PairwiseView(view.parties, {k: v for k, v in view.t.items() if k != (c, b)})
     with pytest.raises(MissingTranscriptFieldError):
         xcq11.derive(params, users[a], states[a], incomplete)
-    two_parties = xcq11.Xcq11View(view.parties[:2], view.t)
+    two_parties = PairwiseView(view.parties[:2], view.t)
     with pytest.raises(MissingTranscriptFieldError):
         xcq11.derive(params, users[a], states[a], two_parties)
 
