@@ -261,8 +261,10 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
 def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, dict]:
     """Rebuild key material from a keyring record.
 
-    Verifies each partial key and that each user public key is the user's
-    secret value times Q_U (inverse-point) or P (inverse-scalar).
+    Checks that the record's backend is its profile's and that the KGC key
+    x gives P0 = x*P, then verifies each partial key and that each user
+    public key is the user's secret value times Q_U (inverse-point) or P
+    (inverse-scalar).
     """
     profile, _, key_bits = keyring_header(record)
     try:
@@ -270,12 +272,16 @@ def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, di
             raise EncodingError(f"unsupported keyring schema {record.get('schema')!r}")
         fam = record["protocol"]
         backend = get_backend(profile)
+        if record["backend"] != backend.backend_id:
+            raise EncodingError(f"keyring backend {record['backend']!r} is not that of profile {profile!r}")
         params = SystemParams(
             backend,
             backend.g1_from_bytes(bytes.fromhex(record["params"]["p0"]), strict=True),
             key_bits,
         )
         msk = MasterKey(backend.scalar_from_bytes(bytes.fromhex(record["kgc"]["x"])))
+        if msk.x * backend.P != params.p0:
+            raise EncodingError("KGC key does not match the system parameter P0")
         users = {}
         for rec in record["users"]:
             identity = rec["id"].encode("utf-8")

@@ -101,6 +101,26 @@ def _scalar_value(owner, k) -> Optional[int]:
     return None
 
 
+def _naf(k: int, w: int) -> list[int]:
+    """The width-``w`` non-adjacent form of ``k`` > 0, top digit first.
+
+    Each digit is 0 or odd with absolute value below 2^(w-1), at most one
+    of any w adjacent digits is nonzero, and the top digit is positive.
+    """
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & ((1 << w) - 1)
+            if d >> (w - 1):
+                d -= 1 << w
+            k -= d
+        digits.append(d)
+        k >>= 1
+    digits.reverse()
+    return digits
+
+
 class Scalar:
     """Residue mod the group order q, tied to the backend that created it."""
 
@@ -421,13 +441,18 @@ class SupersingularBackend(PairingBackend):
     identity.  Scalar multiplication and the Miller loop share one loop in
     Jacobian coordinates (X, Y, Z), x = X/Z^2 and y = Y/Z^3, that walks a
     sequence of steps from T = O: a doubling, or a mixed addition of an
-    affine point.  A variable base k*a and the Miller loop over q feed it
-    the bits of the scalar with the one base.  k*P for the generator P
-    feeds it a Lim-Lee comb instead: k mod q is cut into 8 rows, and each
-    of the ceil(bits/8) columns, one bit (tooth) from each row, is one
-    doubling and one addition of a point from a table of the 255 sums of
-    P's row multiples, built with affine additions on the first k*P.
-    Either way one field inversion leaves Jacobian form.  G2 elements live
+    affine point.  A variable base k*a and the Miller loop over q feed it a
+    signed-digit chain: each digit d of a width-w non-adjacent form (NAF)
+    doubles T and then adds d*a, an odd multiple of the base or one with y
+    negated.  k*a walks the width-4 NAF of k with a, 3a, 5a and 7a, made
+    per call; the Miller loop walks the width-2 NAF of q with U and -U, its
+    digits computed once.  k*P for the generator P feeds it a Lim-Lee comb
+    instead: k mod q is cut into 8 rows, and each of the ceil(bits/8)
+    columns, one bit (tooth) from each row, is one doubling and one
+    addition of a point from a table of the 255 sums of P's row multiples,
+    made on the first k*P.  Odd multiples and table are summed in Jacobian
+    form and made affine together with one batched inversion, and one more
+    field inversion leaves Jacobian form after the walk.  G2 elements live
     in the order-q subgroup of F_p^2 = F_p[i] (i^2 = -1) and are stored as
     coefficient pairs (c0, c1).
     The second pairing argument is passed through the distortion map
@@ -435,9 +460,11 @@ class SupersingularBackend(PairingBackend):
     stays in F_p, every vertical line lands in F_p^* and is erased by the
     final exponentiation (p - 1)*h, as is the F_p^* factor each line is
     scaled by to clear its Jacobian denominators.  So the denominators are
-    dropped, and the vertical chord of the last step (T = -U) is multiplied
-    in and erased, not skipped.  The loop's group law is exact, so the
-    Miller loop ends at q*U, and one check rejects a U outside the subgroup.
+    dropped, and so are the vertical lines that a subtraction of U adds to
+    the Miller function; the vertical chord of the last step (T = -U) is
+    multiplied in and erased, not skipped.  The loop's group law is exact,
+    so the Miller loop ends at q*U, and one check rejects a U outside the
+    subgroup.
     """
 
     backend_id = "crypto"
@@ -450,6 +477,7 @@ class SupersingularBackend(PairingBackend):
             raise ClakaError("field prime must be 3 mod 4")
         self.point_width = (self.p.bit_length() + 7) // 8
         self._comb = None  # (columns, table), built by the first k*P
+        self._q_naf = _naf(q, 2)  # the Miller loop's digits
         self.P = self.g1_identity()  # no comb while the generator is searched
         self.P = G1Point(self, self._find_generator())
         self.g = self.pair(self.P, self.P)
@@ -547,27 +575,87 @@ class SupersingularBackend(PairingBackend):
             Z = Z3
         return (X, Y, Z), f
 
-    @staticmethod
-    def _bit_steps(k, a):
-        # left to right from the top bit, which starts T at a: every further
-        # bit doubles T, and a set bit then adds a
-        return [a] + [a if bit == "1" else None for bit in bin(k)[3:].replace("1", "01")]
+    def _naf_steps(self, digits, odd):
+        # each digit d doubles T (the top one starts it from O) and then
+        # adds d*a: odd[|d| // 2] = |d|*a, with y negated for d < 0.  A zero
+        # digit has no addend, and neither has a multiple that is O
+        p = self.p
+        addend = {}
+        for i, m in enumerate(odd):
+            if m is not None:
+                addend[2 * i + 1] = m
+                addend[-2 * i - 1] = (m[0], -m[1] % p)
+        steps = []
+        for d in digits:
+            steps.append(None)
+            if d in addend:
+                steps.append(addend[d])
+        return steps[1:]  # T = O needs no first doubling
+
+    def _jacobian_add(self, A, B):
+        # A + B in Jacobian form, with the chord and tangent of _ladder;
+        # Z = 0 is O
+        X1, Y1, Z1 = A
+        X2, Y2, Z2 = B
+        if not Z1:
+            return B
+        if not Z2:
+            return A
+        p = self.p
+        ZZ1 = Z1 * Z1 % p
+        ZZ2 = Z2 * Z2 % p
+        U1 = X1 * ZZ2 % p
+        S1 = Y1 * ZZ2 * Z2 % p
+        H = (X2 * ZZ1 - U1) % p
+        r = (Y2 * ZZ1 * Z1 - S1) % p
+        if H or r:  # H = 0 (A = -B) gives Z = 0
+            HH = H * H % p
+            HHH = H * HH % p
+            V = U1 * HH % p
+            X3 = (r * r - HHH - 2 * V) % p
+            return X3, (r * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p
+        YY = Y1 * Y1 % p
+        M = (3 * X1 * X1 + ZZ1 * ZZ1) % p
+        S = 4 * X1 * YY % p
+        X3 = (M * M - 2 * S) % p
+        return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y1 * Z1 % p
+
+    def _to_affine(self, points):
+        # Jacobian points to affine ones (None for O) with one inversion, by
+        # Montgomery's trick: invert the product of all nonzero Z, then peel
+        # each 1/Z off it from the last point back, using the prefix products
+        p = self.p
+        prefix = [1]
+        for _, _, Z in points:
+            prefix.append(prefix[-1] * (Z or 1) % p)
+        inv = pow(prefix[-1], -1, p)
+        out = []
+        for (X, Y, Z), before in zip(reversed(points), reversed(prefix[:-1])):
+            if not Z:
+                out.append(None)
+                continue
+            z_inv = inv * before % p
+            inv = inv * Z % p
+            z_inv2 = z_inv * z_inv % p
+            out.append((X * z_inv2 % p, Y * z_inv2 * z_inv % p))
+        out.reverse()
+        return out
 
     def _comb_table(self):
         # entry j is the sum of 2^(i*d) * P over the bits i set in j, built
-        # with affine additions; entry 0 is O
+        # in Jacobian form and made affine together; entry 0 is O
         d = -(-self.q.bit_length() // _COMB_TEETH)
-        rows = [self.P.data]  # 2^(i*d) * P
+        rows = [(*self.P.data, 1)]  # 2^(i*d) * P
         for _ in range(_COMB_TEETH - 1):
             t = rows[-1]
             for _ in range(d):
-                t = self._ec_add(t, t)
+                t = self._jacobian_add(t, t)
             rows.append(t)
-        table = [None]
+        table = [(1, 1, 0)]
         for j in range(1, 1 << _COMB_TEETH):
             low = j & -j
-            table.append(self._ec_add(table[j ^ low], rows[low.bit_length() - 1]))
-        return d, table
+            table.append(self._jacobian_add(table[j ^ low], rows[low.bit_length() - 1]))
+        return d, self._to_affine(table)
 
     def _comb_steps(self, k):
         # Lim-Lee comb for 0 <= k < 2^(teeth*d): row i holds bits i*d up to
@@ -587,13 +675,18 @@ class SupersingularBackend(PairingBackend):
         return steps[1:]  # T = O needs no first doubling
 
     def _ec_mul(self, k, a):
-        # the only inversion leaves Jacobian form
+        # one inversion leaves Jacobian form, and one more makes a variable
+        # base's odd multiples a, 3a, 5a, 7a affine
         if not k or a is None:
             return None
         if a == self.P.data:
             steps = self._comb_steps(k % self.q)  # P has order q
         else:
-            steps = self._bit_steps(k, a)
+            odd = [(*a, 1)]
+            twice = self._jacobian_add(odd[0], odd[0])
+            for _ in range(3):
+                odd.append(self._jacobian_add(odd[-1], twice))
+            steps = self._naf_steps(_naf(k, 4), self._to_affine(odd))
         (X, Y, Z), _ = self._ladder(steps)
         if not Z:
             return None
@@ -654,7 +747,8 @@ class SupersingularBackend(PairingBackend):
             return self.g2_identity()
         p = self.p
         xq, yq = v.data
-        (_, _, Z), f = self._ladder(self._bit_steps(self.q, u.data), (-xq % p, yq))  # psi(V) = (-xq, i*yq)
+        steps = self._naf_steps(self._q_naf, (u.data,))
+        (_, _, Z), f = self._ladder(steps, (-xq % p, yq))  # psi(V) = (-xq, i*yq)
         if Z:
             raise ClakaError("pairing argument is not in the order-q subgroup")
         # final exponentiation: (p^2 - 1)/q = (p - 1) * cofactor, and

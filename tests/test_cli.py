@@ -207,6 +207,12 @@ MALFORMED_KEYRINGS = {
     "id-not-string": lambda ring: _with_first_user(ring, id=5),
     "id-not-utf8": lambda ring: _with_first_user(ring, id="\ud800"),
     "unknown-profile": lambda ring: {**ring, "profile": "nope"},
+    "backend-true": lambda ring: {**ring, "backend": True},
+    "backend-a-list": lambda ring: {**ring, "backend": []},
+    "backend-null": lambda ring: {**ring, "backend": None},
+    "backend-a-profile-name": lambda ring: {**ring, "backend": ring["profile"]},
+    "backend-of-another-profile": lambda ring: {**ring, "backend": "crypto"},
+    "no-backend": lambda ring: {k: v for k, v in ring.items() if k != "backend"},
 }
 
 
@@ -220,6 +226,15 @@ def test_keyring_with_another_users_secret_value_is_io_error(tmp_path, capsys, p
     # every part still decodes and every partial key verifies
     def copy_x(ring):
         return _with_first_user(ring, x=ring["users"][1]["x"])
+
+    _assert_keyring_rejected(tmp_path, capsys, protocol, copy_x)
+
+
+@pytest.mark.parametrize("protocol", ["xcq11", "xcl12"])
+def test_keyring_whose_kgc_key_does_not_give_p0_is_io_error(tmp_path, capsys, protocol):
+    # an in-range scalar that is not the master key of P0: a user's secret value
+    def copy_x(ring):
+        return {**ring, "kgc": {"x": ring["users"][0]["x"]}}
 
     _assert_keyring_rejected(tmp_path, capsys, protocol, copy_x)
 

@@ -10,7 +10,7 @@ from clakalab.errors import (
     DegenerateScalarError,
     EncodingError,
 )
-from clakalab.pairing import _COMB_TEETH, G1Point, OpCounter, encode_parts, get_backend, metered
+from clakalab.pairing import _COMB_TEETH, G1Point, OpCounter, _naf, encode_parts, get_backend, metered
 
 BACKENDS = ("t1009", "t256", "c160")
 
@@ -393,6 +393,92 @@ def test_ec_mul_matches_affine_reference(profile):
     assert decoded == base and decoded is not base
     for k in [q - 1, full_column, rng.randrange(q)]:
         assert b._ec_mul(k, decoded) == _affine_mul(b, k, base), k
+    # the width-4 walk: bases whose multiples 3a, 5a or 7a are O or +-a, and
+    # scalars with runs of ones, single bits or every digit +-1 ... +-7
+    every_digit = sum(d << (5 * i) for i, d in enumerate((1, -1, 3, -3, 5, -5, 7, -7, 1)))
+    assert set(_naf(every_digit, 4)) == {0, 1, -1, 3, -3, 5, -5, 7, -7}
+    for order in SMALL_ORDERS[profile]:
+        pt = _point_of_order(b, order)
+        for k, expected in _walk_cases(b, pt) + [(every_digit, _affine_mul(b, every_digit % order, pt))]:
+            assert b._ec_mul(k, pt) == expected, (order, k)
+    twice = b._ec_add(base, base)  # order q, but not P, so not the comb
+    for k, expected in _walk_cases(b, twice) + [(every_digit, _affine_mul(b, every_digit, twice))]:
+        assert b._ec_mul(k, twice) == expected, k
+
+
+#: orders of the small-order bases of the width-4 walk, whose multiples
+#: 3a, 5a or 7a are O or +-a (order 3: 3a = O, 5a = -a, 7a = a; order 4:
+#: 3a = -a, 5a = a, 7a = -a); the cofactor is 2^3 * 3^3 on c160 and
+#: 2^5 * 5^2 on c256
+SMALL_ORDERS = {"c160": (3, 9, 27, 4, 8), "c256": (5, 25)}
+
+
+def _point_of_order(b, order):
+    # a point of exact prime-power order: the smallest-x curve point times
+    # #E / order, if (order / prime) times it is not yet O
+    prime = next(f for f in range(2, order + 1) if order % f == 0)
+    p = b.p
+    x = 0
+    while True:
+        x += 1
+        t = (x * x * x + x) % p
+        if t and pow(t, (p - 1) // 2, p) == 1:
+            pt = _affine_mul(b, b.cofactor * b.q // order, (x, pow(t, (p + 1) // 4, p)))
+            if pt is not None and _affine_mul(b, order // prime, pt) is not None:
+                assert _affine_mul(b, order, pt) is None
+                return pt
+
+
+def _walk_cases(b, a):
+    # (k, k*a) for k = 1 ... 32 and k = 2^j +- 1 up to q's bit length, by
+    # affine additions
+    cases, multiple = [], None
+    for k in range(1, 33):
+        multiple = b._ec_add(multiple, a)
+        cases.append((k, multiple))
+    power = a  # 2^j * a
+    for j in range(1, b.q.bit_length() + 1):
+        power = b._ec_add(power, power)
+        cases += [((1 << j) - 1, b._ec_add(power, b._ec_neg(a))), ((1 << j) + 1, b._ec_add(power, a))]
+    return cases
+
+
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_comb_table_matches_affine_sums(profile):
+    # the table is built in Jacobian form with one batched inversion
+    b = get_backend(profile)
+    d, table = b._comb_table()
+    assert d == -(-b.q.bit_length() // _COMB_TEETH)
+    rows = [b.P.data]
+    for _ in range(_COMB_TEETH - 1):
+        t = rows[-1]
+        for _ in range(d):
+            t = b._ec_add(t, t)
+        rows.append(t)
+    expected = [None]
+    for j in range(1, 1 << _COMB_TEETH):
+        low = j & -j
+        expected.append(b._ec_add(expected[j ^ low], rows[low.bit_length() - 1]))
+    assert table == expected
+
+
+def test_signed_digit_chains_are_short():
+    # step counts, not clocks: after its starting point, the c256 Miller
+    # chain for q makes 256 doublings and 42 additions, where binary digits
+    # need 255 and 191
+    b = get_backend("c256")
+    a = b.P.data
+    steps = b._naf_steps(b._q_naf, (a,))
+    assert steps[0] == a
+    assert steps[1:].count(None) == 256 and len(steps) - 1 - 256 == 42
+    assert b.q.bit_length() - 1 == 255 and bin(b.q).count("1") - 1 == 191
+    # a random 256-bit k walks its width-4 NAF with about bits/5 additions,
+    # where its binary digits need about bits/2: here 51 against 141
+    k = random.Random("naf-steps").getrandbits(256) | 1 << 255
+    odd = [(b.scalar(m) * b.P).data for m in (1, 3, 5, 7)]
+    steps = b._naf_steps(_naf(k, 4), odd)
+    additions = len(steps) - 1 - steps.count(None)
+    assert (additions, bin(k).count("1") - 1) == (51, 141)
 
 
 @pytest.mark.parametrize("profile", ("c160", "c256"))
