@@ -298,8 +298,8 @@ def run_honest_session(config: ScenarioConfig, keyring: Optional[Mapping] = None
     world = materialize(config, keyring)
     run = _drive_session(world)
     if run.aborted:
-        # unreachable with honestly generated keys; reachable with a
-        # corrupted key file, in which case derive() already raised
+        # unreachable: keys are generated here or loaded from a key file
+        # that their secrets regenerate, so every signature verifies
         raise SignatureInvalidError(run.aborted[0])
     return run
 

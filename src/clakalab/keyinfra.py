@@ -25,7 +25,6 @@ collisions are actually reachable, so the guards are tested, not decorative.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -145,13 +144,18 @@ def xcq11_user_keygen(params: SystemParams, identity: bytes, partial: Xcq11Parti
     Resamples x_U whenever x_U + H2(upk_U) lands on zero, so the combined
     public point upk_U + H2(upk_U) * Q_U is never the identity.
     """
-    q_point = identity_point(params, identity)
     while True:
-        x_u = params.backend.random_scalar(rng)
-        upk = x_u * q_point
-        shift = x_u + public_key_hash(params, upk)
-        if not shift.is_zero():
-            break
+        user = xcq11_user_keys(params, identity, partial, params.backend.random_scalar(rng))
+        if user is not None:
+            return user
+
+
+def xcq11_user_keys(params: SystemParams, identity: bytes, partial: Xcq11PartialKey, x_u: Scalar):
+    """upk_U = x_U * Q_U and S_U = (x_U + H2(upk_U))^-1 * s_U; ``None`` if that shift is zero."""
+    upk = x_u * identity_point(params, identity)
+    shift = x_u + public_key_hash(params, upk)
+    if shift.is_zero():
+        return None
     return Xcq11UserKeys(identity, partial, x_u, upk, shift.inverse() * partial.s_u)
 
 
@@ -174,13 +178,19 @@ class Xcl12UserKeys:
 
 def xcl12_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes, rng) -> Xcl12PartialKey:
     """Pick r_U, publish R_U = r_U * P, issue s_U = (r_U + h*x)^-1."""
-    backend = params.backend
     while True:
-        r = backend.random_scalar(rng)
-        r_point = r * backend.P
-        denom = r + binding_hash(params, identity, r_point) * msk.x
-        if not denom.is_zero():
-            return Xcl12PartialKey(denom.inverse(), r_point)
+        partial = xcl12_partial_key(params, msk, identity, params.backend.random_scalar(rng))
+        if partial is not None:
+            return partial
+
+
+def xcl12_partial_key(params: SystemParams, msk: MasterKey, identity: bytes, r: Scalar):
+    """R_U = r * P and s_U = (r + H1(ID_U || R_U) * x)^-1; ``None`` if r or that denominator is zero."""
+    r_point = r * params.backend.P
+    denom = r + binding_hash(params, identity, r_point) * msk.x
+    if r.is_zero() or denom.is_zero():
+        return None
+    return Xcl12PartialKey(denom.inverse(), r_point)
 
 
 def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12PartialKey) -> bool:
@@ -209,23 +219,24 @@ def make_user(family: str, params: SystemParams, msk: MasterKey, identity: bytes
 # -- key material import/export ------------------------------------------------
 
 
+def _user_record(family: str, user) -> dict:
+    rec = {
+        "id": user.identity.decode("utf-8"),
+        "x": user.secret_value.to_bytes().hex(),
+        "upk": user.upk.to_bytes().hex(),
+    }
+    if family == "xcq11":
+        rec["partial"] = user.partial.s_u.to_bytes().hex()
+        rec["full"] = user.full_key.to_bytes().hex()
+    else:
+        rec["partial_s"] = user.partial.s_u.to_bytes().hex()
+        rec["partial_r"] = user.partial.r_u.to_bytes().hex()
+    return rec
+
+
 def keyring_to_json(family: str, params: SystemParams, msk: MasterKey, users) -> dict:
     """Serialize KGC and user key material as a JSON-ready record."""
     backend = params.backend
-    records = []
-    for user in users:
-        rec = {
-            "id": user.identity.decode("utf-8"),
-            "x": user.secret_value.to_bytes().hex(),
-            "upk": user.upk.to_bytes().hex(),
-        }
-        if family == "xcq11":
-            rec["partial"] = user.partial.s_u.to_bytes().hex()
-            rec["full"] = user.full_key.to_bytes().hex()
-        else:
-            rec["partial_s"] = user.partial.s_u.to_bytes().hex()
-            rec["partial_r"] = user.partial.r_u.to_bytes().hex()
-        records.append(rec)
     return {
         "schema": KEYRING_SCHEMA,
         "protocol": family,
@@ -234,7 +245,7 @@ def keyring_to_json(family: str, params: SystemParams, msk: MasterKey, users) ->
         "key_bits": params.key_bits,
         "params": {"p0": params.p0.to_bytes().hex()},
         "kgc": {"x": msk.x.to_bytes().hex()},
-        "users": records,
+        "users": [_user_record(family, user) for user in users],
     }
 
 
@@ -252,7 +263,7 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
     profile = record.get("profile")
     if profile not in PROFILE_NAMES:
         raise EncodingError(f"unknown keyring profile {profile!r}")
-    key_bits = record.get("key_bits", DEFAULT_KEY_BITS)
+    key_bits = record.get("key_bits")
     if not valid_key_bits(key_bits):
         raise EncodingError(f"keyring key_bits must be {KEY_BITS_RULE}, not {key_bits!r}")
     return profile, tuple(u["id"] for u in users), key_bits
@@ -261,53 +272,37 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
 def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, dict]:
     """Rebuild key material from a keyring record.
 
-    Checks that the record's backend is its profile's and that the KGC key
-    x gives P0 = x*P, then verifies each partial key and that each user
-    public key is the user's secret value times Q_U (inverse-point) or P
-    (inverse-scalar).
+    The KGC key x and each user's secret value regenerate every other field,
+    given for an inverse-scalar user the r behind its stored partial key.  The
+    record is accepted only if it is exactly what ``keyring_to_json`` writes
+    for the regenerated keys.
     """
     profile, _, key_bits = keyring_header(record)
     try:
-        if record["schema"] != KEYRING_SCHEMA:
-            raise EncodingError(f"unsupported keyring schema {record.get('schema')!r}")
         fam = record["protocol"]
         backend = get_backend(profile)
-        if record["backend"] != backend.backend_id:
-            raise EncodingError(f"keyring backend {record['backend']!r} is not that of profile {profile!r}")
-        params = SystemParams(
-            backend,
-            backend.g1_from_bytes(bytes.fromhex(record["params"]["p0"]), strict=True),
-            key_bits,
-        )
-        msk = MasterKey(backend.scalar_from_bytes(bytes.fromhex(record["kgc"]["x"])))
-        if msk.x * backend.P != params.p0:
-            raise EncodingError("KGC key does not match the system parameter P0")
+        x = backend.scalar_from_bytes(bytes.fromhex(record["kgc"]["x"]))
+        params, msk = SystemParams(backend, x * backend.P, key_bits), MasterKey(x)
         users = {}
         for rec in record["users"]:
             identity = rec["id"].encode("utf-8")
             x_u = backend.scalar_from_bytes(bytes.fromhex(rec["x"]))
-            upk = backend.g1_from_bytes(bytes.fromhex(rec["upk"]), strict=True)
             if fam == "xcq11":
-                partial = Xcq11PartialKey(backend.g1_from_bytes(bytes.fromhex(rec["partial"]), strict=True))
-                full = backend.g1_from_bytes(bytes.fromhex(rec["full"]), strict=True)
-                user = Xcq11UserKeys(identity, partial, x_u, upk, full)
-                ok = xcq11_verify_partial(params, identity, partial)
-                upk_base = identity_point(params, identity)
+                user = xcq11_user_keys(params, identity, xcq11_extract_partial(params, msk, identity), x_u)
             elif fam == "xcl12":
-                partial = Xcl12PartialKey(
-                    backend.scalar_from_bytes(bytes.fromhex(rec["partial_s"])),
-                    backend.g1_from_bytes(bytes.fromhex(rec["partial_r"]), strict=True),
-                )
-                user = Xcl12UserKeys(identity, partial, x_u, upk)
-                ok = xcl12_verify_partial(params, identity, partial)
-                upk_base = backend.P
+                # r = s_U^-1 - h*x; r*P gives back the stored R_U only if R_U was r*P
+                s_u = backend.scalar_from_bytes(bytes.fromhex(rec["partial_s"]))
+                r_point = backend.g1_from_bytes(bytes.fromhex(rec["partial_r"]))
+                r = s_u.inverse() - binding_hash(params, identity, r_point) * x
+                partial = xcl12_partial_key(params, msk, identity, r)
+                user = None if partial is None else Xcl12UserKeys(identity, partial, x_u, x_u * backend.P)
             else:
                 raise EncodingError(f"unknown keyring protocol {fam!r}")
-            if not ok:
-                raise EncodingError(f"partial key of {rec['id']!r} fails verification")
-            if x_u * upk_base != upk:
-                raise EncodingError(f"public key of {rec['id']!r} does not match its secret value")
             users[identity] = user
+        if None in users.values() or keyring_to_json(fam, params, msk, users.values()) != record:
+            raise EncodingError("keyring record is not the one its secret keys regenerate")
         return fam, params, msk, users
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except DegenerateScalarError as exc:
+        raise EncodingError(f"keyring record holds a degenerate key: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
         raise EncodingError(f"malformed keyring record: {exc}") from exc

@@ -44,15 +44,15 @@ def test_run_and_replay(tmp_path):
     assert run_cli("replay", str(report)) == cli.EXIT_UNEXPECTED
 
 
-def test_corrupted_keyfile_gives_abort_exit(tmp_path):
+def test_corrupted_keyfile_gives_io_exit(tmp_path):
     keys = tmp_path / "keys.json"
     assert run_cli("keygen", "--protocol", "xcq11i", "--seed", "2", "--out", str(keys)) == 0
     record = json.loads(keys.read_text())
-    # corrupt one user's full key; partial keys still verify on load
+    # corrupt one user's full key; partial keys still verify, but the secrets regenerate another file
     record["users"][0]["full"] = record["users"][1]["full"]
     keys.write_text(json.dumps(record))
     code = run_cli("run", "--protocol", "xcq11i", "--keys", str(keys), "--seed", "2")
-    assert code == cli.EXIT_ABORT
+    assert code == cli.EXIT_IO
 
 
 def test_attack_exit_codes(tmp_path):
@@ -213,6 +213,10 @@ MALFORMED_KEYRINGS = {
     "backend-a-profile-name": lambda ring: {**ring, "backend": ring["profile"]},
     "backend-of-another-profile": lambda ring: {**ring, "backend": "crypto"},
     "no-backend": lambda ring: {k: v for k, v in ring.items() if k != "backend"},
+    "full-of-another-user": lambda ring: _with_first_user(ring, full=ring["users"][1]["full"]),
+    "upk-upper-case-hex": lambda ring: _with_first_user(ring, upk=ring["users"][0]["upk"].upper()),
+    "extra-user-field": lambda ring: _with_first_user(ring, note="hello"),
+    "no-key-bits": lambda ring: {k: v for k, v in ring.items() if k != "key_bits"},
 }
 
 

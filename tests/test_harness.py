@@ -6,7 +6,7 @@ import json
 import pytest
 
 from clakalab import attacks, harness, wire
-from clakalab.errors import ScenarioError, SignatureInvalidError
+from clakalab.errors import EncodingError, ScenarioError
 from clakalab.harness import HonestSlotImpersonator, ScenarioConfig
 from clakalab.keyinfra import keyring_to_json
 from clakalab.session import PROTOCOL_VARIANTS, canonical_identities
@@ -129,7 +129,7 @@ def test_keyring_mismatches_rejected():
         harness.materialize(ScenarioConfig(protocol="xcl12", profile="t256", seed=4, key_bits=128), keyring=ring)
 
 
-def test_corrupted_full_key_aborts_improved_run():
+def test_corrupted_full_key_is_rejected_on_load():
     config = ScenarioConfig(protocol="xcq11i", profile="t256", seed=4)
     world = harness.materialize(config)
     ids = canonical_identities(world.users.keys())
@@ -137,7 +137,7 @@ def test_corrupted_full_key_aborts_improved_run():
     backend = world.backend
     bad_point = backend.scalar(12345) * backend.P
     ring["users"][0]["full"] = bad_point.to_bytes().hex()
-    with pytest.raises(SignatureInvalidError):
+    with pytest.raises(EncodingError):
         harness.run_honest_session(config, keyring=ring)
 
 

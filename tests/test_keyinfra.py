@@ -25,6 +25,7 @@ from clakalab.keyinfra import (
     xcq11_user_keygen,
     xcq11_verify_partial,
 )
+from clakalab.pairing import OpCounter, SupersingularBackend, metered
 
 
 def make_params(backend, seed=11):
@@ -189,6 +190,29 @@ def test_keyring_round_trip(fam, t256):
             assert xcl12_verify_partial(params2, user.identity, loaded.partial)
 
 
+@pytest.mark.parametrize("fam, muls, adds", [("xcq11", 13, 3), ("xcl12", 7, 0)])
+def test_keyring_load_takes_no_pairing_and_no_strict_decode(c160, monkeypatch, fam, muls, adds):
+    params, msk = make_params(c160)
+    rng = random.Random(3)
+    users = [keyinfra.make_user(fam, params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
+    record = json.loads(json.dumps(keyring_to_json(fam, params, msk, users)))
+    strict_flags = []
+    decode = SupersingularBackend.g1_from_bytes
+
+    def recording(backend, raw, strict=False):
+        strict_flags.append(strict)
+        return decode(backend, raw, strict)
+
+    monkeypatch.setattr(SupersingularBackend, "g1_from_bytes", recording)
+    counter = OpCounter()
+    with metered(counter):
+        keyring_from_json(record)
+    # x*P, then per user: xcq11 rebuilds s_U, Q_U (one addition), upk_U and S_U; xcl12 rebuilds R_U and upk_U
+    assert counter == OpCounter(point_adds=adds, scalar_muls=muls, pairings=0, g2_exps=0)
+    # only xcl12 decodes a stored point, R_U, and not strictly: r*P must give it back
+    assert strict_flags == ([False] * 3 if fam == "xcl12" else [])
+
+
 def test_keyring_rejects_garbage():
     with pytest.raises(EncodingError):
         keyring_from_json({"schema": "bogus"})
@@ -202,5 +226,19 @@ def test_keyring_rejects_invalid_partial(t256):
     users = [keyinfra.make_user("xcq11", params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
     record = keyring_to_json("xcq11", params, msk, users)
     record["users"][0]["partial"] = (t256.scalar(5) * t256.P).to_bytes().hex()
+    with pytest.raises(EncodingError):
+        keyring_from_json(record)
+
+
+def test_keyring_rejects_xcl12_partial_key_with_zero_r(t256):
+    # R_U = O and s_U = (H1(ID_U || O) * x)^-1 verify, but keygen draws r from [1, q-1]
+    params, msk = make_params(t256)
+    rng = random.Random(1)
+    users = [keyinfra.make_user("xcl12", params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
+    record = keyring_to_json("xcl12", params, msk, users)
+    origin = t256.g1_identity()
+    partial = Xcl12PartialKey((keyinfra.binding_hash(params, b"alice", origin) * msk.x).inverse(), origin)
+    assert xcl12_verify_partial(params, b"alice", partial)
+    record["users"][0].update(partial_s=partial.s_u.to_bytes().hex(), partial_r=partial.r_u.to_bytes().hex())
     with pytest.raises(EncodingError):
         keyring_from_json(record)

@@ -294,6 +294,23 @@ def test_crypto_subgroup_check(c160):
         c160.g1_from_bytes(raw, strict=True)
 
 
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_crypto_decodes_name_each_rejected_form(profile):
+    b = get_backend(profile)
+    w, p = b.point_width, b.p
+    p_y = b.P.to_bytes()[1 + w :]
+    cases = [
+        (b.g1_from_bytes, bytes(2 * w) + b"\x01", "identity encoding must be all zero"),
+        (b.g1_from_bytes, b"\x04" + p.to_bytes(w, "big") + p_y, "G1 coordinate out of range"),
+        (b.g2_from_bytes, p.to_bytes(w, "big") + bytes(w), "G2 coefficient out of range"),
+        # -1 = (p-1, 0) is unitary, but of order 2
+        (b.g2_from_bytes, (p - 1).to_bytes(w, "big") + bytes(w), "G2 element is not in the order-q subgroup"),
+    ]
+    for decode, raw, message in cases:
+        with pytest.raises(EncodingError, match=message):
+            decode(raw)
+
+
 # -- curve arithmetic on the crypto profiles --------------------------------------
 
 # encodings on the crypto profiles: P, g, k*P (k = -1 is q - 1) and
