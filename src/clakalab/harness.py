@@ -429,7 +429,11 @@ def regenerate_report(report: Mapping) -> dict:
         if (kind == "attack") != (config.attack is not None):
             raise EncodingError(f"report kind {kind!r} does not go with attack {config.attack!r}")
         if kind == "run":
-            return build_run_report(run_honest_session(config, keyring=report.get("keyring")))
+            try:
+                run = run_honest_session(config, keyring=report.get("keyring"))
+            except ScenarioError as exc:  # a stored keyring that does not fit the stored config
+                raise EncodingError(f"stored keyring: {exc}") from exc
+            return build_run_report(run)
         return run_attack_scenario(config).report
     if kind == "count-ops":
         # count-ops runs both xcl12 variants, so its config names no protocol

@@ -438,21 +438,22 @@ class SupersingularBackend(PairingBackend):
     """Tate pairing on the supersingular curve y^2 = x^3 + x over F_p.
 
     G1 points are stored as affine pairs (x, y) with ``None`` for the
-    identity.  Scalar multiplication and the Miller loop share one loop in
-    Jacobian coordinates (X, Y, Z), x = X/Z^2 and y = Y/Z^3, that walks a
-    sequence of steps from T = O: a doubling, or a mixed addition of an
-    affine point.  A variable base k*a and the Miller loop over q feed it a
-    signed-digit chain: each digit d of a width-w non-adjacent form (NAF)
-    doubles T and then adds d*a, an odd multiple of the base or one with y
-    negated.  k*a walks the width-4 NAF of k with a, 3a, 5a and 7a, made
+    identity.  Every Jacobian doubling and addition is a step of one loop
+    in Jacobian coordinates (X, Y, Z), x = X/Z^2 and y = Y/Z^3, that walks
+    a sequence of steps from a start point T, by default O: a doubling, or
+    a mixed addition of an affine point.  A variable base k*a and the
+    Miller loop over q feed it a signed-digit chain: each digit d of a
+    width-w non-adjacent form (NAF) doubles T and then adds d*a, an odd
+    multiple of the base or one with y negated.  k*a walks the width-4 NAF of k with a, 3a, 5a and 7a, made
     per call; the Miller loop walks the width-2 NAF of q with U and -U, its
     digits computed once.  k*P for the generator P feeds it a Lim-Lee comb
     instead: k mod q is cut into 8 rows, and each of the ceil(bits/8)
     columns, one bit (tooth) from each row, is one doubling and one
     addition of a point from a table of the 255 sums of P's row multiples,
-    made on the first k*P.  Odd multiples and table are summed in Jacobian
-    form and made affine together with one batched inversion, and one more
-    field inversion leaves Jacobian form after the walk.  G2 elements live
+    made on the first k*P.  Odd multiples, comb rows and table entries are
+    walked on the same loop from a Jacobian start point, each list made
+    affine together with one batched inversion, and one more field
+    inversion leaves Jacobian form after the walk.  G2 elements live
     in the order-q subgroup of F_p^2 = F_p[i] (i^2 = -1) and are stored as
     coefficient pairs (c0, c1).
     The second pairing argument is passed through the distortion map
@@ -463,8 +464,8 @@ class SupersingularBackend(PairingBackend):
     dropped, and so are the vertical lines that a subtraction of U adds to
     the Miller function; the vertical chord of the last step (T = -U) is
     multiplied in and erased, not skipped.  The loop's group law is exact,
-    so the Miller loop ends at q*U, and one check rejects a U outside the
-    subgroup.
+    so the walk over q ends at q*U, and this one walk decides subgroup
+    membership for ``pair``, strict decoding and the generator search.
     """
 
     backend_id = "crypto"
@@ -497,7 +498,7 @@ class SupersingularBackend(PairingBackend):
             if not t or pow(t, (p - 1) // 2, p) != 1:
                 continue
             candidate = self._ec_mul(self.cofactor, (x, pow(t, (p + 1) // 4, p)))
-            if candidate is not None and self._ec_mul(self.q, candidate) is None:
+            if candidate is not None and not self._q_walk(candidate)[0][2]:
                 return candidate
 
     def _ec_add(self, a, b):
@@ -523,15 +524,16 @@ class SupersingularBackend(PairingBackend):
             return None
         return (a[0], -a[1] % self.p)
 
-    def _ladder(self, steps, at=None):
-        """Walk ``steps`` from T = O: ``None`` doubles T, an affine point is added to T.
+    def _ladder(self, steps, at=None, start=(1, 1, 0)):
+        """Walk ``steps`` from T = ``start``: ``None`` doubles T, an affine point is added to T.
 
-        Returns T as (X, Y, Z), Z = 0 for the identity, and f.  Given
-        ``at = (xe, yq)`` the walk is Miller's algorithm, and f is the
-        product of its lines at psi(V) = (xe, i*yq); otherwise f is None.
+        ``start`` is a Jacobian point, by default O.  Returns T as
+        (X, Y, Z), Z = 0 for the identity, and f.  Given ``at = (xe, yq)``
+        the walk is Miller's algorithm, and f is the product of its lines at
+        psi(V) = (xe, i*yq); otherwise f is None.
         """
         p = self.p
-        X, Y, Z = 1, 1, 0
+        X, Y, Z = start
         f = None
         if at is not None:
             xe, yq = at
@@ -592,33 +594,10 @@ class SupersingularBackend(PairingBackend):
                 steps.append(addend[d])
         return steps[1:]  # T = O needs no first doubling
 
-    def _jacobian_add(self, A, B):
-        # A + B in Jacobian form, with the chord and tangent of _ladder;
-        # Z = 0 is O
-        X1, Y1, Z1 = A
-        X2, Y2, Z2 = B
-        if not Z1:
-            return B
-        if not Z2:
-            return A
-        p = self.p
-        ZZ1 = Z1 * Z1 % p
-        ZZ2 = Z2 * Z2 % p
-        U1 = X1 * ZZ2 % p
-        S1 = Y1 * ZZ2 * Z2 % p
-        H = (X2 * ZZ1 - U1) % p
-        r = (Y2 * ZZ1 * Z1 - S1) % p
-        if H or r:  # H = 0 (A = -B) gives Z = 0
-            HH = H * H % p
-            HHH = H * HH % p
-            V = U1 * HH % p
-            X3 = (r * r - HHH - 2 * V) % p
-            return X3, (r * (V - X3) - S1 * HHH) % p, Z1 * Z2 * H % p
-        YY = Y1 * Y1 % p
-        M = (3 * X1 * X1 + ZZ1 * ZZ1) % p
-        S = 4 * X1 * YY % p
-        X3 = (M * M - 2 * S) % p
-        return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y1 * Z1 % p
+    def _q_walk(self, a, at=None):
+        # the Miller loop's walk over the width-2 NAF of q: T ends at q*a,
+        # which is O exactly when a is in the order-q subgroup
+        return self._ladder(self._naf_steps(self._q_naf, (a,)), at)
 
     def _to_affine(self, points):
         # Jacobian points to affine ones (None for O) with one inversion, by
@@ -642,19 +621,19 @@ class SupersingularBackend(PairingBackend):
         return out
 
     def _comb_table(self):
-        # entry j is the sum of 2^(i*d) * P over the bits i set in j, built
-        # in Jacobian form and made affine together; entry 0 is O
+        # entry j is the sum of 2^(i*d) * P over the bits i set in j.  Row
+        # i + 1 is d doublings on from row i, and entry j adds its lowest
+        # row to entry j - low, each walked from a Jacobian start; rows and
+        # entries are each made affine together.  Entry 0 is O
         d = -(-self.q.bit_length() // _COMB_TEETH)
-        rows = [(*self.P.data, 1)]  # 2^(i*d) * P
+        rows = [(*self.P.data, 1)]
         for _ in range(_COMB_TEETH - 1):
-            t = rows[-1]
-            for _ in range(d):
-                t = self._jacobian_add(t, t)
-            rows.append(t)
+            rows.append(self._ladder([None] * d, start=rows[-1])[0])
+        rows = self._to_affine(rows)
         table = [(1, 1, 0)]
         for j in range(1, 1 << _COMB_TEETH):
             low = j & -j
-            table.append(self._jacobian_add(table[j ^ low], rows[low.bit_length() - 1]))
+            table.append(self._ladder([rows[low.bit_length() - 1]], start=table[j ^ low])[0])
         return d, self._to_affine(table)
 
     def _comb_steps(self, k):
@@ -683,9 +662,8 @@ class SupersingularBackend(PairingBackend):
             steps = self._comb_steps(k % self.q)  # P has order q
         else:
             odd = [(*a, 1)]
-            twice = self._jacobian_add(odd[0], odd[0])
-            for _ in range(3):
-                odd.append(self._jacobian_add(odd[-1], twice))
+            for _ in range(3):  # the next odd multiple adds a twice
+                odd.append(self._ladder([a, a], start=odd[-1])[0])
             steps = self._naf_steps(_naf(k, 4), self._to_affine(odd))
         (X, Y, Z), _ = self._ladder(steps)
         if not Z:
@@ -747,8 +725,7 @@ class SupersingularBackend(PairingBackend):
             return self.g2_identity()
         p = self.p
         xq, yq = v.data
-        steps = self._naf_steps(self._q_naf, (u.data,))
-        (_, _, Z), f = self._ladder(steps, (-xq % p, yq))  # psi(V) = (-xq, i*yq)
+        (_, _, Z), f = self._q_walk(u.data, (-xq % p, yq))  # psi(V) = (-xq, i*yq)
         if Z:
             raise ClakaError("pairing argument is not in the order-q subgroup")
         # final exponentiation: (p^2 - 1)/q = (p - 1) * cofactor, and
@@ -782,7 +759,7 @@ class SupersingularBackend(PairingBackend):
             raise EncodingError("G1 coordinate out of range")
         if (y * y - (x * x * x + x)) % self.p:
             raise EncodingError("point is not on the curve")
-        if strict and self._ec_mul(self.q, (x, y)) is not None:
+        if strict and self._q_walk((x, y))[0][2]:
             raise EncodingError("point is not in the order-q subgroup")
         return G1Point(self, (x, y))
 

@@ -243,6 +243,39 @@ def test_keyring_whose_kgc_key_does_not_give_p0_is_io_error(tmp_path, capsys, pr
     _assert_keyring_rejected(tmp_path, capsys, protocol, copy_x)
 
 
+#: a stored run report whose keyring does not fit its own config: the
+#: record is inconsistent, and no flag of the command line is at fault
+MISMATCHED_KEYRING_REPORTS = {
+    "keyring-of-the-other-family": lambda report, other: {**report, "keyring": other},
+    "other-key-bits": lambda report, other: {**report, "config": {**report["config"], "key_bits": 128}},
+    "other-identities": lambda report, other: {**report, "config": {**report["config"], "identities": ["x", "y", "z"]}},
+    "other-profile": lambda report, other: {**report, "config": {**report["config"], "profile": "t1009"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_KEYRING_REPORTS))
+@pytest.mark.parametrize("command", [("replay",), ("run", "--replay")], ids=["replay", "run-replay"])
+def test_report_whose_keyring_does_not_fit_its_config_is_io_error(tmp_path, capsys, case, command):
+    keys, other, report = (tmp_path / n for n in ("keys.json", "other.json", "run.json"))
+    assert run_cli("keygen", "--protocol", "xcq11", "--seed", "4", "--out", str(keys)) == 0
+    assert run_cli("keygen", "--protocol", "xcl12", "--seed", "4", "--out", str(other)) == 0
+    assert run_cli("run", "--protocol", "xcq11", "--keys", str(keys), "--out", str(report)) == 0
+    stored = MISMATCHED_KEYRING_REPORTS[case](json.loads(report.read_text()), json.loads(other.read_text()))
+    report.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert run_cli(*command, str(report)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_key_file_of_the_other_family_is_usage_error(tmp_path, capsys):
+    # here the --protocol flag names the other family
+    keys = tmp_path / "keys.json"
+    assert run_cli("keygen", "--protocol", "xcl12", "--seed", "4", "--out", str(keys)) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--protocol", "xcq11", "--keys", str(keys)) == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_identity_that_is_not_utf8_is_usage_error(capsys):
     # an undecodable byte of the command line reaches argv as a lone surrogate
     for command in (("run", "--protocol", "xcq11"), ("keygen", "--protocol", "xcl12"), ("count-ops",)):

@@ -1,8 +1,12 @@
 """Backend algebra: group laws, bilinearity, hashing, serialization."""
 
+import functools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clakalab.errors import (
     BackendMismatchError,
@@ -507,6 +511,120 @@ def test_crypto_pair_rejects_points_outside_the_subgroup(profile):
         with pytest.raises(ClakaError, match="order-q subgroup"):
             b.pair(point, b.P)
     assert b.pair(b.P, b.P) == b.g
+
+
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_strict_decode_rejects_every_point_outside_the_subgroup(profile):
+    b = get_backend(profile)
+    outside = [(0, 0)] + _off_subgroup_points(b, 4) + [_point_of_order(b, o) for o in SMALL_ORDERS[profile]]
+    for data in outside:
+        with pytest.raises(EncodingError, match="order-q subgroup"):
+            b.g1_from_bytes(G1Point(b, data).to_bytes(), strict=True)
+    k = random.Random(f"strict/{profile}").randrange(1, b.q)
+    for point in (b.P, b.scalar(2) * b.P, b.scalar(k) * b.P):
+        assert b.g1_from_bytes(point.to_bytes(), strict=True) == point
+
+
+# -- a reference model of the curve core ------------------------------------------
+
+
+def _f2_model_mul(p, u, v):
+    return ((u[0] * v[0] - u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)
+
+
+def _model_pair(b, u, v):
+    # reference reduced Tate pairing e(U, psi(V)), psi(V) = (-xv, i*yv):
+    # Miller's loop over the bits of q on the affine group law, each line
+    # divided by the vertical line through the point it leads to, then the
+    # final exponentiation (p^2 - 1)/q
+    p = b.p
+    if u is None or v is None:
+        return (1, 0)
+    xe, ye = -v[0] % p, v[1]
+
+    def step(f, t, a):
+        # f times the line through t and a over the vertical at t + a
+        (x1, y1), (x2, y2) = t, a
+        if x1 == x2 and (y1 + y2) % p == 0:  # a vertical line, and t + a = O
+            return _f2_model_mul(p, f, ((xe - x1) % p, 0)), None
+        if t == a:
+            lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        vertical_inv = pow(xe - x3, -1, p)
+        line = ((-y1 - lam * (xe - x1)) * vertical_inv % p, ye * vertical_inv % p)
+        return _f2_model_mul(p, f, line), (x3, (lam * (x1 - x3) - y1) % p)
+
+    f, t = (1, 0), u
+    for bit in bin(b.q)[3:]:
+        f, t = step(_f2_model_mul(p, f, f), t, t)
+        if bit == "1":
+            f, t = step(f, t, u)
+    assert t is None  # U has order q
+    result, e = (1, 0), (p * p - 1) // b.q
+    while e:
+        if e & 1:
+            result = _f2_model_mul(p, result, f)
+        f = _f2_model_mul(p, f, f)
+        e >>= 1
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def _group_generator(profile):
+    # E(F_p) is cyclic of order h*q: its one point of order 2 is (0, 0), as
+    # x^2 + 1 has no root when p = 3 mod 4.  So a point generates it when
+    # (h*q / l) times the point is not O for any prime l dividing h*q
+    b = get_backend(profile)
+    n = b.cofactor * b.q
+    primes = [l for l in (2, 3, 5) if b.cofactor % l == 0] + [b.q]
+    p = b.p
+    x = 0
+    while True:
+        x += 1
+        t = (x * x * x + x) % p
+        if t and pow(t, (p - 1) // 2, p) == 1:
+            pt = (x, pow(t, (p + 1) // 4, p))
+            if all(_affine_mul(b, n // l, pt) is not None for l in primes):
+                return pt
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(profile=st.sampled_from(("c160", "c256")), data=st.data())
+def test_curve_core_matches_the_affine_model(profile, data):
+    # a base of any order dividing h*q, or P itself, and a scalar at the
+    # edges of q, a multiple of the base's order or a random one
+    b = get_backend(profile)
+    q, n = b.q, b.cofactor * b.q
+    if data.draw(st.booleans(), label="base is P"):
+        base, order = b.P.data, q
+    else:
+        divisor = data.draw(st.sampled_from([d for d in range(1, b.cofactor + 1) if b.cofactor % d == 0]))
+        divisor *= data.draw(st.sampled_from((1, q)), label="q divides the order")
+        unit = data.draw(st.integers(1, 2**64), label="multiplier")
+        base = _affine_mul(b, n // divisor * unit % n, _group_generator(profile))
+        order = divisor // math.gcd(unit, divisor)
+    k = data.draw(
+        st.one_of(
+            st.sampled_from((0, q - 1, q, q + 1)),
+            st.integers(1, 64).map(lambda m: m * order),
+            st.integers(1, 2 * n),
+        ),
+        label="k",
+    )
+    expected = _affine_mul(b, k, base)
+    assert b._ec_mul(k, base) == expected
+    point = G1Point(b, base)
+    if q % order:
+        with pytest.raises(EncodingError, match="order-q subgroup"):
+            b.g1_from_bytes(point.to_bytes(), strict=True)
+        with pytest.raises(ClakaError, match="order-q subgroup"):
+            b.pair(point, b.P)
+    else:
+        assert b.g1_from_bytes(point.to_bytes(), strict=True) == point
+        v = expected or b.P.data
+        assert b.pair(point, G1Point(b, v)).data == _model_pair(b, base, v)
 
 
 def test_equal_points_encode_identically(t256):
