@@ -180,11 +180,6 @@ def judge_outcome(
     )
 
 
-def _unmask_ab(backend, view, a, b, s_a, s_b):
-    """e(T_AB, S_B) * e(T_BA, S_A): the part of the shared value S_A and S_B unmask."""
-    return backend.pair(view.t[(a, b)], s_b) * backend.pair(view.t[(b, a)], s_a)
-
-
 def _dlog_details(backend, **elements) -> dict:
     """Discrete logs of intermediate values; transparent backend only."""
     if not backend.supports_dlog:
@@ -205,7 +200,8 @@ def forward_secrecy_attack(params: SystemParams, knowledge: AdversaryKnowledge, 
     """Rebuild the session key of a finished session from leaked full keys.
 
     Original protocol: anyone holding S_A and S_B can strip the masks from
-    T_AB, T_BA and T_CA, which multiply out to the full shared value.
+    T_AB, T_BA and T_CA, which multiply out to the full shared value; T_BA
+    and T_CA share one pairing with S_A, by bilinearity.
     Repaired variant: even with all three full keys the shared value
     e(P, P)^(abc) is out of reach; the closest computable base e(T_B, T_C)
     is raised to a random guess so the mismatch is demonstrated end to end.
@@ -214,7 +210,7 @@ def forward_secrecy_attack(params: SystemParams, knowledge: AdversaryKnowledge, 
     a, b, c = [p.identity for p in view.ordered]
     if knowledge.protocol == "xcq11":
         keys = knowledge.full_keys
-        shared = _unmask_ab(backend, view, a, b, keys[a], keys[b]) * backend.pair(view.t[(c, a)], keys[a])
+        shared = backend.pair(view.t[(a, b)], keys[b]) * backend.pair(view.t[(b, a)] + view.t[(c, a)], keys[a])
         details = _dlog_details(backend, recovered_shared=shared)
     else:
         shared = backend.pair(view.t_points[b], view.t_points[c]) ** backend.random_scalar(rng)
@@ -244,8 +240,9 @@ def recover_ephemeral_points(params: SystemParams, secret_values: Mapping[bytes,
             raise DegenerateDenominatorError(
                 f"identity hashes of {y!r} and {z!r} collide; cannot isolate the ephemeral"
             )
-        recovered[sender.identity] = denom.inverse() * (
-            weights[y] * view.t[(sender.identity, y)] - weights[z] * view.t[(sender.identity, z)]
+        scale = denom.inverse()
+        recovered[sender.identity] = params.backend.g1_lincomb(
+            [(scale * weights[y], view.t[(sender.identity, y)]), (scale * weights[z], -view.t[(sender.identity, z)])]
         )
     return recovered
 
@@ -325,7 +322,8 @@ class MaskedPointKciAdversary(LiveAdversary):
         a, b, _ = [p.identity for p in view.ordered]
         if self.knowledge.protocol == "xcq11":
             keys = self.knowledge.full_keys
-            shared = backend.g**self.ephemeral * _unmask_ab(backend, view, a, b, keys[a], keys[b])
+            unmasked = backend.pair(view.t[(a, b)], keys[b]) * backend.pair(view.t[(b, a)], keys[a])
+            shared = backend.g**self.ephemeral * unmasked
             details = _dlog_details(backend, adversary_shared=shared)
         else:
             # repaired variant: the adversary knows its own ephemeral, so it

@@ -194,8 +194,9 @@ def xcl12_partial_key(params: SystemParams, msk: MasterKey, identity: bytes, r: 
 
 
 def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12PartialKey) -> bool:
-    """Check s_U * (R_U + H1(ID_U || R_U) * P0) == P."""
-    return partial.s_u * masked_base(params, identity, partial.r_u) == params.backend.P
+    """Check s_U * (R_U + H1(ID_U || R_U) * P0) == P, as one linear combination."""
+    s, h = partial.s_u, binding_hash(params, identity, partial.r_u)
+    return params.backend.g1_lincomb([(s, partial.r_u), (s * h, params.p0)]) == params.backend.P
 
 
 def xcl12_user_keygen(params: SystemParams, identity: bytes, partial: Xcl12PartialKey, rng) -> Xcl12UserKeys:

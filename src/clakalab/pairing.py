@@ -72,6 +72,9 @@ _COFACTOR_256 = 800
 
 #: teeth of the fixed-base comb for k*P: 2^teeth - 1 table points
 _COMB_TEETH = 8
+#: x-coordinates the generator search tries; about half give no curve
+#: point, so a sound curve runs out of them with chance about 2^-256
+_GENERATOR_SEARCH = 256
 
 _H2S_PREFIX = b"CLAKA/H2S"
 _KDF_PREFIX = b"CLAKA/KDF"
@@ -202,8 +205,8 @@ def metered(counter: Optional[OpCounter]):
     """Count the group operations run inside the block into ``counter``.
 
     Counted are G1 additions and subtractions, G1 scalar multiplications and
-    G2 exponentiations, at the element operators, and each ``pair`` call.  A
-    nested block counts toward its own counter only (``None``: nowhere); the
+    G2 exponentiations, at the element operators and ``g1_lincomb``, and
+    each ``pair`` call.  A nested block counts toward its own counter only (``None``: nowhere); the
     outer one resumes when it exits.
     """
     global _meter
@@ -315,8 +318,8 @@ class PairingBackend:
     ``profile``, ``supports_dlog``; the group API ``g1_identity``,
     ``g2_identity``, ``pair``, ``g1_to_bytes``, ``g1_from_bytes``,
     ``g2_to_bytes``, ``g2_from_bytes``; and the group law on element data
-    that the element operators call: ``_g1_add``, ``_g1_neg``, ``_g1_mul``,
-    ``_g2_mul``, ``_g2_pow``.
+    that the element operators and ``g1_lincomb`` call: ``_g1_add``,
+    ``_g1_neg``, ``_g1_mul``, ``_g1_lincomb``, ``_g2_mul``, ``_g2_pow``.
     """
 
     backend_id = "abstract"
@@ -373,6 +376,23 @@ class PairingBackend:
     def dlog_g2(self, z: G2Elem) -> int:
         raise ClakaError("discrete logs are exposed by the transparent backend only")
 
+    def g1_lincomb(self, terms) -> G1Point:
+        """The sum of k*A over the (scalar, G1 point) pairs ``terms``.
+
+        Counted as one scalar multiplication per term and one addition fewer.
+        """
+        values = []
+        for k, a in terms:
+            if not isinstance(a, G1Point) or a.backend is not self:
+                raise BackendMismatchError("linear combination points must be G1 points of this backend")
+            values.append((_scalar_value(a, k), a.data))
+        if not values or any(k is None for k, _ in values):
+            raise ClakaError("a linear combination needs one or more terms, each a scalar and a point")
+        if _meter is not None:
+            _meter.scalar_muls += len(values)
+            _meter.point_adds += len(values) - 1
+        return G1Point(self, self._g1_lincomb(values))
+
     def _check_pair_args(self, u: G1Point, v: G1Point) -> None:
         """Check the arguments of one ``pair`` call, then count the pairing."""
         if not (isinstance(u, G1Point) and isinstance(v, G1Point)):
@@ -413,6 +433,9 @@ class TransparentBackend(PairingBackend):
     def _g1_mul(self, k, a):
         return k * a % self.q
 
+    def _g1_lincomb(self, terms):
+        return sum(k * a for k, a in terms) % self.q
+
     def pair(self, u, v):
         self._check_pair_args(u, v)
         return G2Elem(self, u.data * v.data % self.q)
@@ -444,8 +467,10 @@ class SupersingularBackend(PairingBackend):
     a mixed addition of an affine point.  A variable base k*a and the
     Miller loop over q feed it a signed-digit chain: each digit d of a
     width-w non-adjacent form (NAF) doubles T and then adds d*a, an odd
-    multiple of the base or one with y negated.  k*a walks the width-4 NAF of k with a, 3a, 5a and 7a, made
-    per call; the Miller loop walks the width-2 NAF of q with U and -U, its
+    multiple of the base or one with y negated.  A linear combination, the
+    sum of k*a over its terms, walks the width-4 NAFs of all its k at once,
+    each with its a, 3a, 5a and 7a, made per call, and k*a is its one-term
+    case; the Miller loop walks the width-2 NAF of q with U and -U, its
     digits computed once.  k*P for the generator P feeds it a Lim-Lee comb
     instead: k mod q is cut into 8 rows, and each of the ceil(bits/8)
     columns, one bit (tooth) from each row, is one doubling and one
@@ -491,15 +516,14 @@ class SupersingularBackend(PairingBackend):
         # deterministic: smallest x >= 1 giving a curve point that clears
         # the cofactor into a point of exact order q
         p = self.p
-        x = 0
-        while True:
-            x += 1
+        for x in range(1, _GENERATOR_SEARCH + 1):
             t = (x * x * x + x) % p
             if not t or pow(t, (p - 1) // 2, p) != 1:
                 continue
             candidate = self._ec_mul(self.cofactor, (x, pow(t, (p + 1) // 4, p)))
             if candidate is not None and not self._q_walk(candidate)[0][2]:
                 return candidate
+        raise ClakaError(f"no point of order q with x <= {_GENERATOR_SEARCH}")
 
     def _ec_add(self, a, b):
         if a is None:
@@ -577,21 +601,29 @@ class SupersingularBackend(PairingBackend):
             Z = Z3
         return (X, Y, Z), f
 
-    def _naf_steps(self, digits, odd):
-        # each digit d doubles T (the top one starts it from O) and then
-        # adds d*a: odd[|d| // 2] = |d|*a, with y negated for d < 0.  A zero
-        # digit has no addend, and neither has a multiple that is O
+    def _naf_steps(self, digits, odd, *more):
+        # the chain (digits, odd) and the chains in ``more``, each digits top
+        # first, aligned at their last digit.  Each digit position doubles T
+        # (the top one starts it from O) and then adds, chain by chain, d*a:
+        # odd[|d| // 2] = |d|*a, with y negated for d < 0.  A zero digit has
+        # no addend, and neither has a multiple that is O
         p = self.p
-        addend = {}
-        for i, m in enumerate(odd):
-            if m is not None:
-                addend[2 * i + 1] = m
-                addend[-2 * i - 1] = (m[0], -m[1] % p)
+        chains = ((digits, odd), *more)
+        length = max(len(digits) for digits, _ in chains)
+        adds = [()] * length  # the addends of each digit position
+        for digits, odd in chains:
+            addend = {}
+            for i, m in enumerate(odd):
+                if m is not None:
+                    addend[2 * i + 1] = m
+                    addend[-2 * i - 1] = (m[0], -m[1] % p)
+            for i, d in enumerate(digits, length - len(digits)):
+                if d in addend:
+                    adds[i] += (addend[d],)
         steps = []
-        for d in digits:
+        for position in adds:
             steps.append(None)
-            if d in addend:
-                steps.append(addend[d])
+            steps += position
         return steps[1:]  # T = O needs no first doubling
 
     def _q_walk(self, a, at=None):
@@ -653,25 +685,30 @@ class SupersingularBackend(PairingBackend):
                 steps.append(entry)
         return steps[1:]  # T = O needs no first doubling
 
-    def _ec_mul(self, k, a):
-        # one inversion leaves Jacobian form, and one more makes a variable
-        # base's odd multiples a, 3a, 5a, 7a affine
-        if not k or a is None:
+    def _ec_lincomb(self, terms):
+        # the sum of k*a over the (k, a) terms: one inversion makes the odd
+        # multiples a, 3a, 5a, 7a of every base affine, the width-4 NAFs of
+        # all k > 0 are walked at once, interleaved on one run of doublings
+        # (Moeller, SAC 2001), and one more inversion leaves Jacobian form
+        terms = [(k, a) for k, a in terms if k and a is not None]
+        if not terms:
             return None
-        if a == self.P.data:
-            steps = self._comb_steps(k % self.q)  # P has order q
-        else:
-            odd = [(*a, 1)]
+        odd = []
+        for _, a in terms:
+            odd.append((*a, 1))
             for _ in range(3):  # the next odd multiple adds a twice
                 odd.append(self._ladder([a, a], start=odd[-1])[0])
-            steps = self._naf_steps(_naf(k, 4), self._to_affine(odd))
-        (X, Y, Z), _ = self._ladder(steps)
-        if not Z:
-            return None
-        p = self.p
-        z_inv = pow(Z, -1, p)
-        z_inv2 = z_inv * z_inv % p
-        return (X * z_inv2 % p, Y * z_inv2 * z_inv % p)
+        odd = self._to_affine(odd)
+        chains = [(_naf(k, 4), odd[4 * i : 4 * i + 4]) for i, (k, _) in enumerate(terms)]
+        steps = self._naf_steps(*chains[0], *chains[1:])
+        return self._to_affine([self._ladder(steps)[0]])[0]
+
+    def _ec_mul(self, k, a):
+        # k*P walks the comb (P has order q); any other base is the one-term
+        # linear combination
+        if k and a is not None and a == self.P.data:
+            return self._to_affine([self._ladder(self._comb_steps(k % self.q))[0]])[0]
+        return self._ec_lincomb([(k, a)])
 
     # -- F_p^2 arithmetic -----------------------------------------------------
 
@@ -711,7 +748,7 @@ class SupersingularBackend(PairingBackend):
     def g2_identity(self):
         return G2Elem(self, (1, 0))
 
-    _g1_add, _g1_neg, _g1_mul = _ec_add, _ec_neg, _ec_mul
+    _g1_add, _g1_neg, _g1_mul, _g1_lincomb = _ec_add, _ec_neg, _ec_mul, _ec_lincomb
     _g2_mul, _g2_pow = _f2_mul, _f2_pow
 
     def pair(self, u, v):

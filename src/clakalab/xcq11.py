@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import clsig
 from .errors import SignatureInvalidError
-from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public
+from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public, identity_point, public_key_hash
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
 from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey, SessionView
 
@@ -29,10 +29,17 @@ def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> PairwiseF
     """Pick one ephemeral and mask it toward each peer.
 
     Needs no keys of the sender at all, only the peers' public data; the
-    repaired variant exists because of exactly this gap.
+    repaired variant exists because of exactly this gap.  Each T-value is
+    the one linear combination u * upk_V + (u * H2(upk_V)) * Q_V.
     """
-    u = params.backend.random_scalar(rng)
-    t_out = {p.identity: u * combined_public(params, p.identity, p.upk) for p in peers}
+    backend = params.backend
+    u = backend.random_scalar(rng)
+    t_out = {
+        p.identity: backend.g1_lincomb(
+            [(u, p.upk), (u * public_key_hash(params, p.upk), identity_point(params, p.identity))]
+        )
+        for p in peers
+    }
     return PairwiseFlow(u, t_out)
 
 
@@ -42,11 +49,17 @@ def session_key(params: SystemParams, view: SessionView, shared: G2Elem) -> byte
 
 
 def derive(params: SystemParams, own: Xcq11UserKeys, state: PairwiseFlow, view: PairwiseView) -> SessionKey:
-    """Unmask the two incoming T-values with the full key and derive K."""
+    """Unmask the two incoming T-values with the full key and derive K.
+
+    By bilinearity e(T_VU, S_U) * e(T_WU, S_U) = e(T_VU + T_WU, S_U), so one
+    pairing unmasks both.  Beside an honest T-value, the sum leaves the
+    order-q subgroup, and the pairing rejects it, exactly when the other
+    T-value does.
+    """
     backend = params.backend
-    shared = backend.g ** state.ephemeral
-    for peer in view.peers(own.identity):
-        shared = shared * backend.pair(view.t[(peer.identity, own.identity)], own.full_key)
+    v, w = view.peers(own.identity)
+    incoming = view.t[(v.identity, own.identity)] + view.t[(w.identity, own.identity)]
+    shared = backend.g**state.ephemeral * backend.pair(incoming, own.full_key)
     return SessionKey(session_key(params, view, shared), shared)
 
 

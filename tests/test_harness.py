@@ -6,9 +6,10 @@ import json
 import pytest
 
 from clakalab import attacks, harness, wire
-from clakalab.errors import EncodingError, ScenarioError
+from clakalab.errors import ClakaError, EncodingError, ScenarioError
 from clakalab.harness import HonestSlotImpersonator, ScenarioConfig
 from clakalab.keyinfra import keyring_to_json
+from clakalab.pairing import G1Point
 from clakalab.session import PROTOCOL_VARIANTS, canonical_identities
 
 
@@ -98,6 +99,53 @@ def test_honest_code_purity():
         assert key.key == honest.keys[identity].key
 
 
+def _c160_point_of_order(b, order):
+    # the smallest-x curve point times #E / order, if (order / l) times it
+    # is not yet O for each prime l dividing order (c160: #E = 2^3 * 3^3 * q)
+    p = b.p
+    x = 0
+    while True:
+        x += 1
+        t = (x * x * x + x) % p
+        if t and pow(t, (p - 1) // 2, p) == 1:
+            pt = b._ec_mul(b.cofactor * b.q // order, (x, pow(t, (p + 1) // 4, p)))
+            if pt is not None and all(b._ec_mul(order // l, pt) is not None for l in (2, 3) if order % l == 0):
+                return pt
+
+
+class _BadTSlot(HonestSlotImpersonator):
+    """Plays xcq11 honestly, except that its T-value to the first peer is ``bad``."""
+
+    def __init__(self, bad, *args):
+        super().__init__(*args)
+        self.bad = bad
+
+    def flows(self, peers):
+        flow = super().flows(peers)
+        return dataclasses.replace(flow, t_out={**flow.t_out, peers[0].identity: self.bad})
+
+
+@pytest.mark.parametrize("bad", ["order 2", "order 3", "order 8", "off the curve"])
+def test_a_bad_masked_point_from_the_live_slot_is_rejected(bad):
+    # the receiver unmasks the sum of its two T-values with one pairing; the
+    # honest one is in the order-q subgroup, so the sum is outside it exactly
+    # when the bad one is, and the Miller loop still rejects it
+    config = ScenarioConfig(protocol="xcq11", profile="c160", seed=1)
+    world = harness.materialize(config)
+    b = world.params.backend
+    data = {"order 2": (0, 0), "off the curve": (1, 1)}.get(bad) or _c160_point_of_order(b, int(bad[-1]))
+    carol = canonical_identities(world.users.keys())[2]
+    rng = harness.rng_for(config.seed, "party", carol.decode())
+    slot = _BadTSlot(G1Point(b, data), config.protocol, world.params, world.users[carol], rng)
+    if bad == "off the curve":
+        error, message = EncodingError, "not on the curve"
+    else:
+        error, message = ClakaError, "order-q subgroup"
+    with pytest.raises(error, match=message) as caught:
+        harness._drive_session(world, impostor=slot)
+    assert caught.type is error
+
+
 def test_run_with_keyring(tmp_path):
     config = ScenarioConfig(protocol="xcl12", profile="t256", seed=4)
     world = harness.materialize(config)
@@ -184,13 +232,15 @@ def test_count_operations_same_on_the_curve_as_on_residues():
 
 
 # per-party counts of flows plus derive, worked out from the step functions:
-# xcq11 round one builds each peer's combined public point (2 adds, 2 muls)
-# and masks u toward it (1 mul); derive takes g**u and two pairings.
+# xcq11 round one builds each peer's identity point Q_V (1 add, 1 mul) and
+# masks u as the linear combination u*upk_V + (u*H2(upk_V))*Q_V (1 add,
+# 2 muls); derive takes g**u, adds the two incoming T-values and pairs the
+# sum once.
 # xcq11i round one takes u*P, its own combined public point and clsig.sign
 # (k*P, one pairing, c*S_U, one add); derive verifies two signatures (a
 # combined public point, a pairing and g**c each) and takes e(T_V, T_W)**u.
 XCQ11_PARTY_COUNTS = {
-    "xcq11": {"point_adds": 4, "scalar_muls": 6, "pairings": 2, "g2_exps": 1},
+    "xcq11": {"point_adds": 5, "scalar_muls": 6, "pairings": 1, "g2_exps": 1},
     "xcq11i": {"point_adds": 7, "scalar_muls": 9, "pairings": 4, "g2_exps": 3},
 }
 

@@ -14,7 +14,19 @@ from clakalab.errors import (
     DegenerateScalarError,
     EncodingError,
 )
-from clakalab.pairing import _COMB_TEETH, G1Point, OpCounter, _naf, encode_parts, get_backend, metered
+from clakalab.pairing import (
+    _COFACTOR_160,
+    _COMB_TEETH,
+    _GENERATOR_SEARCH,
+    _Q_160,
+    G1Point,
+    OpCounter,
+    SupersingularBackend,
+    _naf,
+    encode_parts,
+    get_backend,
+    metered,
+)
 
 BACKENDS = ("t1009", "t256", "c160")
 
@@ -43,6 +55,10 @@ def test_small_prime_log_example(t1009):
     # 3P + 5P has discrete log 8
     point = t1009.scalar(3) * t1009.P + t1009.scalar(5) * t1009.P
     assert t1009.dlog_g1(point) == 8
+    # and 2*(8P) + 1010*(3P) has discrete log 16 + 3030 mod 1009 = 19
+    assert t1009.dlog_g1(t1009.g1_lincomb([(2, point), (1010, t1009.scalar(3) * t1009.P)])) == 19
+    with pytest.raises(ClakaError, match="one or more terms"):
+        t1009.g1_lincomb([])
 
 
 def test_scalar_field_ops(t1009):
@@ -65,6 +81,10 @@ def test_backend_mismatch_rejected(t1009, t256):
         t256.scalar(3) * t1009.P
     with pytest.raises(BackendMismatchError):
         t1009.pair(t1009.P, t256.P)
+    with pytest.raises(BackendMismatchError):
+        t1009.g1_lincomb([(1, t1009.P), (1, t256.P)])
+    with pytest.raises(BackendMismatchError):
+        t1009.g1_lincomb([(t256.scalar(3), t1009.P)])
     with pytest.raises(BackendMismatchError):
         t1009.g ** t256.scalar(3)
     with pytest.raises(BackendMismatchError):
@@ -502,6 +522,21 @@ def test_signed_digit_chains_are_short():
     assert (additions, bin(k).count("1") - 1) == (51, 141)
 
 
+def test_generator_search_is_bounded():
+    # a Miller walk that never ends at O, as a broken group law would give,
+    # makes the backend's construction fail within the bound, not hang
+    walked = []
+
+    class NeverInTheSubgroup(SupersingularBackend):
+        def _q_walk(self, a, at=None):
+            walked.append(a)
+            return (1, 1, 1), None
+
+    with pytest.raises(ClakaError, match="no point of order q"):
+        NeverInTheSubgroup(_Q_160, _COFACTOR_160, "c160")
+    assert 0 < len(walked) <= _GENERATOR_SEARCH
+
+
 @pytest.mark.parametrize("profile", ("c160", "c256"))
 def test_crypto_pair_rejects_points_outside_the_subgroup(profile):
     # the Miller loop computes q*U, so pair checks its first argument
@@ -594,25 +629,32 @@ def _group_generator(profile):
 @given(profile=st.sampled_from(("c160", "c256")), data=st.data())
 def test_curve_core_matches_the_affine_model(profile, data):
     # a base of any order dividing h*q, or P itself, and a scalar at the
-    # edges of q, a multiple of the base's order or a random one
+    # edges of q, a multiple of the base's order or a random one; then a
+    # second such pair, or one whose base is O, the first base or its
+    # negative, for a two-term linear combination
     b = get_backend(profile)
     q, n = b.q, b.cofactor * b.q
-    if data.draw(st.booleans(), label="base is P"):
-        base, order = b.P.data, q
-    else:
+
+    def draw_base():
+        if data.draw(st.booleans(), label="base is P"):
+            return b.P.data, q
         divisor = data.draw(st.sampled_from([d for d in range(1, b.cofactor + 1) if b.cofactor % d == 0]))
         divisor *= data.draw(st.sampled_from((1, q)), label="q divides the order")
         unit = data.draw(st.integers(1, 2**64), label="multiplier")
-        base = _affine_mul(b, n // divisor * unit % n, _group_generator(profile))
-        order = divisor // math.gcd(unit, divisor)
-    k = data.draw(
-        st.one_of(
-            st.sampled_from((0, q - 1, q, q + 1)),
-            st.integers(1, 64).map(lambda m: m * order),
-            st.integers(1, 2 * n),
-        ),
-        label="k",
-    )
+        return _affine_mul(b, n // divisor * unit % n, _group_generator(profile)), divisor // math.gcd(unit, divisor)
+
+    def draw_scalar(order):
+        return data.draw(
+            st.one_of(
+                st.sampled_from((0, q - 1, q, q + 1)),
+                st.integers(1, 64).map(lambda m: m * order),
+                st.integers(1, 2 * n),
+            ),
+            label="k",
+        )
+
+    base, order = draw_base()
+    k = draw_scalar(order)
     expected = _affine_mul(b, k, base)
     assert b._ec_mul(k, base) == expected
     point = G1Point(b, base)
@@ -625,6 +667,21 @@ def test_curve_core_matches_the_affine_model(profile, data):
         assert b.g1_from_bytes(point.to_bytes(), strict=True) == point
         v = expected or b.P.data
         assert b.pair(point, G1Point(b, v)).data == _model_pair(b, base, v)
+
+    second = data.draw(st.sampled_from(("drawn", "O", "equal", "opposite")), label="second base")
+    if second == "drawn":
+        base2, order2 = draw_base()
+    else:
+        base2, order2 = {"O": (None, 1), "equal": (base, order), "opposite": (b._ec_neg(base), order)}[second]
+    k2 = draw_scalar(order2)
+    assert b._ec_lincomb([(k, base), (k2, base2)]) == b._ec_add(expected, _affine_mul(b, k2, base2))
+    # the public operation reduces its scalars mod q and meters n scalar
+    # multiplications and n - 1 additions
+    counter = OpCounter()
+    with metered(counter):
+        combination = b.g1_lincomb([(k, point), (b.scalar(k2), G1Point(b, base2))])
+    assert combination.data == b._ec_add(_affine_mul(b, k % q, base), _affine_mul(b, k2 % q, base2))
+    assert counter.as_dict() == {"point_adds": 1, "scalar_muls": 2, "pairings": 0, "g2_exps": 0}
 
 
 def test_equal_points_encode_identically(t256):
