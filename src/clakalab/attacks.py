@@ -53,7 +53,6 @@ ATTACK_FAMILIES = {
     "kci-common": "xcl12",
 }
 
-LIVE_ATTACKS = ("kci", "kci-kgc", "kci-common")
 PASSIVE_ATTACKS = ("fs", "secrets")
 
 
@@ -96,6 +95,14 @@ class AdversaryKnowledge:
             "master_key": self.master_key is not None,
         }
 
+    def partial_scalar(self, identity: bytes) -> Optional[Scalar]:
+        """s_U from a granted partial key or full key triple, or None."""
+        if identity in self.partial_keys:
+            return self.partial_keys[identity].s_u
+        if identity in self.full_keys:
+            return self.full_keys[identity].partial.s_u
+        return None
+
 
 def grant_knowledge(attack: str, protocol: str, msk, users: Mapping[bytes, object]) -> AdversaryKnowledge:
     """Build the minimal knowledge record each attack is documented to need.
@@ -124,9 +131,7 @@ def grant_knowledge(attack: str, protocol: str, msk, users: Mapping[bytes, objec
             partial_keys={i: users[i].partial for i in (a, b, c)},
             full_keys={a: users[a]},
         )
-    if attack == "kci-common":
-        return AdversaryKnowledge(attack, protocol, full_keys={a: users[a], b: users[b]})
-    raise ScenarioError(f"unknown attack {attack!r}")
+    return AdversaryKnowledge(attack, protocol, full_keys={a: users[a], b: users[b]})
 
 
 @dataclass(frozen=True)
@@ -338,13 +343,9 @@ class SharedValuesAdversary(LiveAdversary):
     """Impersonates C in a shared-values session.
 
     Round one is identical to an honest round: T-values need only public
-    peer data.  Subclasses supply ``unmask(view, a, b, c)``, which recovers
-    (a*P, b*P) from the T-values, and ``inverse_partial(c)``, which gives
-    s_C^-1 or a random stand-in for it against the repaired variant.
+    peer data.  Every secret is read through the grant, so the KGC and the
+    common adversary run one strategy and differ only in what they hold.
     """
-
-    #: what the repaired variant forces the adversary to guess
-    substituted = ""
 
     def flows(self, peers):
         state = xcl12.round1(self.params, peers, self.rng)
@@ -353,45 +354,40 @@ class SharedValuesAdversary(LiveAdversary):
 
     def shared_values(self, view) -> AdversaryResult:
         backend = self.params.backend
+        knowledge = self.knowledge
         parties = {p.identity: p for p in view.ordered}
         a, b, c = parties
-        a_point, b_point = self.unmask(view, a, b, c)
+        # s_B * T_{A->B} = a*P and s_A * T_{B->A} = b*P
+        a_point = knowledge.partial_scalar(b) * view.t[(a, b)]
+        b_point = knowledge.partial_scalar(a) * view.t[(b, a)]
         k1 = self.ephemeral * backend.P + a_point + b_point
-        if self.knowledge.protocol == "xcl12":
-            user_a: Xcl12UserKeys = self.knowledge.full_keys[a]
+        if knowledge.protocol == "xcl12":
+            user_a: Xcl12UserKeys = knowledge.full_keys[a]
             k2 = backend.pair(a_point, b_point) ** self.ephemeral
             k3 = backend.pair(parties[b].upk, parties[c].upk) ** user_a.secret_value
             details = _dlog_details(backend, k1=k1, k2=k2, k3=k3)
         else:
             # repaired variant: the bases of k2 and k3 are built from public
             # points plus the recovered a*P and b*P, but the exponents need
-            # s_C^-1 and x_C; x_C is out of reach of every adversary here,
-            # so a random guess stands in for it
+            # s_C^-1 and x_C; a random guess stands in for x_C, which no
+            # grant holds, and for s_C^-1 when the grant lacks C's partial key
             base2 = backend.pair(
                 a_point + masked_base(self.params, a, parties[a].r_point),
                 b_point + masked_base(self.params, b, parties[b].r_point),
             )
             base3 = backend.pair(a_point + parties[a].upk, b_point + parties[b].upk)
-            k2 = base2 ** (self.ephemeral + self.inverse_partial(c))
+            s_c = knowledge.partial_scalar(c)
+            s_c_inverse = backend.random_scalar(self.rng) if s_c is None else s_c.inverse()
+            k2 = base2 ** (self.ephemeral + s_c_inverse)
             k3 = base3 ** (self.ephemeral + backend.random_scalar(self.rng))
-            details = {"substituted": self.substituted}
+            stood_in = "secret value" if s_c is not None else "partial scalar and secret value"
+            details = {"substituted": f"{stood_in} of the impersonated party"}
         shared = xcl12.SharedValues(k1, k2, k3)
         return AdversaryResult(xcl12.session_key(self.params, view, shared), details)
 
 
 class SharedValuesKgcAdversary(SharedValuesAdversary):
     """Malicious KGC impersonating C: master key, all partials, A's full key."""
-
-    substituted = "secret value of the impersonated party"
-
-    def unmask(self, view, a, b, c):
-        # unmask with the partial scalars the KGC issued itself
-        s_c = self.knowledge.partial_keys[c].s_u
-        return s_c * view.t[(a, c)], self.knowledge.full_keys[a].partial.s_u * view.t[(b, a)]
-
-    def inverse_partial(self, c):
-        # the KGC issued s_C itself; x_C is what a KGC never sees
-        return self.knowledge.partial_keys[c].s_u.inverse()
 
     def finish(self, view) -> AdversaryResult:
         return self.shared_values(view)
@@ -400,20 +396,12 @@ class SharedValuesKgcAdversary(SharedValuesAdversary):
 class SharedValuesCommonAdversary(SharedValuesAdversary):
     """Common adversary impersonating C with the full key triples of A and B."""
 
-    substituted = "partial scalar and secret value of the impersonated party"
-
-    def unmask(self, view, a, b, c):
-        user_a, user_b = self.knowledge.full_keys[a], self.knowledge.full_keys[b]
-        return user_b.partial.s_u * view.t[(a, b)], user_a.partial.s_u * view.t[(b, a)]
-
-    def inverse_partial(self, c):
-        return self.params.backend.random_scalar(self.rng)
-
     def finish(self, view) -> AdversaryResult:
         return self.shared_values(view)
 
 
-_LIVE_ADVERSARIES = {
+#: each live attack and the adversary that occupies the impersonated slot
+LIVE_ATTACKS = {
     "kci": MaskedPointKciAdversary,
     "kci-kgc": SharedValuesKgcAdversary,
     "kci-common": SharedValuesCommonAdversary,
@@ -421,6 +409,6 @@ _LIVE_ADVERSARIES = {
 
 
 def make_live_adversary(attack: str, params: SystemParams, knowledge: AdversaryKnowledge, public, rng) -> LiveAdversary:
-    if attack not in _LIVE_ADVERSARIES:
+    if attack not in LIVE_ATTACKS:
         raise ScenarioError(f"{attack!r} is not a live attack")
-    return _LIVE_ADVERSARIES[attack](params, knowledge, public, rng)
+    return LIVE_ATTACKS[attack](params, knowledge, public, rng)

@@ -139,7 +139,10 @@ def _cmd_run(args) -> int:
     if args.keys:
         keyring = _load_json(args.keys)
         profile, identities, key_bits = keyinfra.keyring_header(keyring)
-        config = replace(config, profile=profile, identities=identities, key_bits=key_bits)
+        try:
+            config = replace(config, profile=profile, identities=identities, key_bits=key_bits)
+        except ScenarioError as exc:  # the key file names no runnable scenario
+            raise EncodingError(f"{args.keys}: {exc}") from exc
     run = harness.run_honest_session(config, keyring=keyring)
     report = harness.build_run_report(run)
     if args.out:

@@ -1,5 +1,6 @@
 """Adversaries: the five documented breaks and their blocked counterparts."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from clakalab import attacks, harness
 from clakalab.errors import DegenerateDenominatorError, ScenarioError
 from clakalab.keyinfra import identity_hash, setup
 from clakalab.pairing import get_backend
+from clakalab.session import canonical_identities
 
 
 def attack_run(attack, protocol, seed=0, profile="t256", identities=None):
@@ -208,6 +210,26 @@ def test_knowledge_grants_are_minimal(attack, protocol):
     if attack in ("fs", "kci"):
         for key in knowledge.full_keys.values():
             assert type(key).__name__ == "G1Point"
+
+
+@pytest.mark.parametrize("profile", ["t1009", "c160"])
+@pytest.mark.parametrize("protocol", ["xcl12", "xcl12i"])
+def test_kgc_adversary_without_the_impersonated_partial_key(protocol, profile):
+    # the grant alone decides the outcome: s_A, s_B and x_A still break the
+    # original, and against the repair s_C^-1 becomes a stand-in as well
+    config = harness.ScenarioConfig(protocol=protocol, profile=profile, seed=0, attack="kci-kgc")
+    world = harness.materialize(config)
+    a, b, c = canonical_identities(world.users.keys())
+    granted = attacks.grant_knowledge("kci-kgc", protocol, world.msk, world.users)
+    knowledge = dataclasses.replace(granted, partial_keys={i: granted.partial_keys[i] for i in (a, b)})
+    public = harness.public_record(protocol, world.users[c])
+    adversary = attacks.make_live_adversary("kci-kgc", world.params, knowledge, public, harness.rng_for(0, "adversary"))
+    run = harness._drive_session(world, impostor=adversary)
+    honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
+    outcome = attacks.judge_outcome(run.adversary_result, honest_keys, run.aborted)
+    assert outcome.success == (protocol == "xcl12")
+    if protocol == "xcl12i":
+        assert outcome.details["substituted"] == "partial scalar and secret value of the impersonated party"
 
 
 def test_attack_registry_partition():

@@ -217,6 +217,10 @@ MALFORMED_KEYRINGS = {
     "upk-upper-case-hex": lambda ring: _with_first_user(ring, upk=ring["users"][0]["upk"].upper()),
     "extra-user-field": lambda ring: _with_first_user(ring, note="hello"),
     "no-key-bits": lambda ring: {k: v for k, v in ring.items() if k != "key_bits"},
+    # well-formed users, but not the three distinct identities a scenario needs
+    "two-users": lambda ring: {**ring, "users": ring["users"][:2]},
+    "four-users": lambda ring: {**ring, "users": [*ring["users"], {**ring["users"][0], "id": "dave"}]},
+    "repeated-user": lambda ring: {**ring, "users": [*ring["users"][:2], ring["users"][0]]},
 }
 
 
