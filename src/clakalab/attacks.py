@@ -357,14 +357,24 @@ class SharedValuesAdversary(LiveAdversary):
         knowledge = self.knowledge
         parties = {p.identity: p for p in view.ordered}
         a, b, c = parties
+        stood_in = []  # the compromised parties' secrets the grant lacks
+
+        def granted(value, what: str, identity: bytes):
+            # the granted secret, or a stand-in drawn from the rng
+            if value is not None:
+                return value
+            stood_in.append(f"{what} of {identity.decode('utf-8')}")
+            return backend.random_scalar(self.rng)
+
         # s_B * T_{A->B} = a*P and s_A * T_{B->A} = b*P
-        a_point = knowledge.partial_scalar(b) * view.t[(a, b)]
-        b_point = knowledge.partial_scalar(a) * view.t[(b, a)]
+        a_point = granted(knowledge.partial_scalar(b), "partial scalar", b) * view.t[(a, b)]
+        b_point = granted(knowledge.partial_scalar(a), "partial scalar", a) * view.t[(b, a)]
         k1 = self.ephemeral * backend.P + a_point + b_point
         if knowledge.protocol == "xcl12":
-            user_a: Xcl12UserKeys = knowledge.full_keys[a]
+            user_a: Optional[Xcl12UserKeys] = knowledge.full_keys.get(a)
+            x_a = granted(None if user_a is None else user_a.secret_value, "secret value", a)
             k2 = backend.pair(a_point, b_point) ** self.ephemeral
-            k3 = backend.pair(parties[b].upk, parties[c].upk) ** user_a.secret_value
+            k3 = backend.pair(parties[b].upk, parties[c].upk) ** x_a
             details = _dlog_details(backend, k1=k1, k2=k2, k3=k3)
         else:
             # repaired variant: the bases of k2 and k3 are built from public
@@ -380,8 +390,10 @@ class SharedValuesAdversary(LiveAdversary):
             s_c_inverse = backend.random_scalar(self.rng) if s_c is None else s_c.inverse()
             k2 = base2 ** (self.ephemeral + s_c_inverse)
             k3 = base3 ** (self.ephemeral + backend.random_scalar(self.rng))
-            stood_in = "secret value" if s_c is not None else "partial scalar and secret value"
-            details = {"substituted": f"{stood_in} of the impersonated party"}
+            substituted = "secret value" if s_c is not None else "partial scalar and secret value"
+            details = {"substituted": f"{substituted} of the impersonated party"}
+        if stood_in:
+            details["stood_in"] = "; ".join(stood_in)
         shared = xcl12.SharedValues(k1, k2, k3)
         return AdversaryResult(xcl12.session_key(self.params, view, shared), details)
 

@@ -51,14 +51,25 @@ XCL12_H2 = b"XCL12-H2"
 
 KEYRING_SCHEMA = "clakalab-keys/1"
 
+#: teeth of the comb for multiples of P0: each world builds its own table
+#: of 2^teeth - 1 points, so it has fewer teeth than the one P keeps
+P0_TEETH = 6
+
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Public system parameters: the backend (q, P, e, g) plus P0 = x*P."""
+    """Public system parameters: the backend (q, P, e, g) plus P0 = x*P.
+
+    P0 is made a fixed base of the backend, so its comb table is built by
+    its first multiple and kept with these parameters.
+    """
 
     backend: PairingBackend
     p0: G1Point
     key_bits: int = DEFAULT_KEY_BITS
+
+    def __post_init__(self):
+        object.__setattr__(self, "p0", self.backend.fixed_base(self.p0, P0_TEETH))
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,17 @@ def identity_point(params: SystemParams, identity: bytes) -> G1Point:
     return params.p0 + identity_hash(params, identity) * params.backend.P
 
 
+def identity_terms(params: SystemParams, identity: bytes, k: Scalar) -> list:
+    """k * Q_U as the linear-combination terms k * P0 and (k * q_U) * P, both fixed bases.
+
+    k * q_U is left an integer for ``g1_lincomb`` to reduce mod q.
+    """
+    return [(k, params.p0), (k.value * identity_hash(params, identity).value, params.backend.P)]
+
+
 def combined_public(params: SystemParams, identity: bytes, upk: G1Point) -> G1Point:
     """upk_U + H2(upk_U) * Q_U, the public point matching the full key S_U."""
-    return upk + public_key_hash(params, upk) * identity_point(params, identity)
+    return upk + params.backend.g1_lincomb(identity_terms(params, identity, public_key_hash(params, upk)))
 
 
 def binding_hash(params: SystemParams, identity: bytes, r_point: G1Point) -> Scalar:
@@ -152,7 +171,7 @@ def xcq11_user_keygen(params: SystemParams, identity: bytes, partial: Xcq11Parti
 
 def xcq11_user_keys(params: SystemParams, identity: bytes, partial: Xcq11PartialKey, x_u: Scalar):
     """upk_U = x_U * Q_U and S_U = (x_U + H2(upk_U))^-1 * s_U; ``None`` if that shift is zero."""
-    upk = x_u * identity_point(params, identity)
+    upk = params.backend.g1_lincomb(identity_terms(params, identity, x_u))
     shift = x_u + public_key_hash(params, upk)
     if shift.is_zero():
         return None

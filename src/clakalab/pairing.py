@@ -70,7 +70,7 @@ _Q_160 = 0x8000000000000000000000000000000080000039
 _COFACTOR_160 = 216
 _COFACTOR_256 = 800
 
-#: teeth of the fixed-base comb for k*P: 2^teeth - 1 table points
+#: teeth of the comb for multiples of the generator P: 2^teeth - 1 table points
 _COMB_TEETH = 8
 #: x-coordinates the generator search tries; about half give no curve
 #: point, so a sound curve runs out of them with chance about 2^-256
@@ -271,7 +271,7 @@ class G1Point(_Element):
             return NotImplemented
         if _meter is not None:
             _meter.scalar_muls += 1
-        return G1Point(self.backend, self.backend._g1_mul(k, self.data))
+        return G1Point(self.backend, self.backend._g1_mul(k, self))
 
     __mul__ = _scale
     __rmul__ = _scale
@@ -281,6 +281,20 @@ class G1Point(_Element):
 
     def to_bytes(self) -> bytes:
         return self.backend.g1_to_bytes(self)
+
+
+class FixedBase(G1Point):
+    """A G1 point of order q multiplied by a comb of ``teeth`` rows, made by ``backend.fixed_base``.
+
+    ``comb`` is (columns, table), built by its first multiplication.
+    """
+
+    __slots__ = ("teeth", "comb")
+
+    def __init__(self, backend: "PairingBackend", data, teeth: int):
+        super().__init__(backend, data)
+        self.teeth = teeth
+        self.comb = None
 
 
 class G2Elem(_Element):
@@ -317,9 +331,11 @@ class PairingBackend:
     (generator of G1), ``g`` (= e(P, P), generator of G2), ``backend_id``,
     ``profile``, ``supports_dlog``; the group API ``g1_identity``,
     ``g2_identity``, ``pair``, ``g1_to_bytes``, ``g1_from_bytes``,
-    ``g2_to_bytes``, ``g2_from_bytes``; and the group law on element data
-    that the element operators and ``g1_lincomb`` call: ``_g1_add``,
-    ``_g1_neg``, ``_g1_mul``, ``_g1_lincomb``, ``_g2_mul``, ``_g2_pow``.
+    ``g2_to_bytes``, ``g2_from_bytes``; and the group law that the element
+    operators and ``g1_lincomb`` call: ``_g1_add``, ``_g1_neg``, ``_g2_mul``
+    and ``_g2_pow`` on element data, ``_g1_mul(k, point)`` and
+    ``_g1_lincomb`` on (k, point) terms, so that a fixed base can bring its
+    comb.
     """
 
     backend_id = "abstract"
@@ -381,17 +397,25 @@ class PairingBackend:
 
         Counted as one scalar multiplication per term and one addition fewer.
         """
+        shape = "a linear combination needs one or more terms, each a scalar and a point"
         values = []
         for k, a in terms:
             if not isinstance(a, G1Point) or a.backend is not self:
                 raise BackendMismatchError("linear combination points must be G1 points of this backend")
-            values.append((_scalar_value(a, k), a.data))
-        if not values or any(k is None for k, _ in values):
-            raise ClakaError("a linear combination needs one or more terms, each a scalar and a point")
+            k = _scalar_value(a, k)
+            if k is None:
+                raise ClakaError(shape)
+            values.append((k, a))
+        if not values:
+            raise ClakaError(shape)
         if _meter is not None:
             _meter.scalar_muls += len(values)
             _meter.point_adds += len(values) - 1
         return G1Point(self, self._g1_lincomb(values))
+
+    def fixed_base(self, point: G1Point, teeth: int) -> G1Point:
+        """``point``, of order q, as a base multiplied by a comb of ``teeth`` rows; here, itself."""
+        return point
 
     def _check_pair_args(self, u: G1Point, v: G1Point) -> None:
         """Check the arguments of one ``pair`` call, then count the pairing."""
@@ -431,10 +455,16 @@ class TransparentBackend(PairingBackend):
         return -a % self.q
 
     def _g1_mul(self, k, a):
-        return k * a % self.q
+        return k * a.data % self.q
 
     def _g1_lincomb(self, terms):
-        return sum(k * a for k, a in terms) % self.q
+        total = 0
+        for k, a in terms:
+            total += k * a.data
+        return total % self.q
+
+    def _g2_pow(self, a, k):
+        return k * a % self.q
 
     def pair(self, u, v):
         self._check_pair_args(u, v)
@@ -452,9 +482,8 @@ class TransparentBackend(PairingBackend):
     def dlog_g1(self, u):
         return u.data
 
-    # G2 is the same residue group as G1, its elements exponents of g; the
-    # product k*a commutes, so _g1_mul(a, k) is also a ** k
-    _g2_mul, _g2_pow, g2_to_bytes, dlog_g2 = _g1_add, _g1_mul, g1_to_bytes, dlog_g1
+    # G2 is the same residue group as G1, its elements exponents of g
+    _g2_mul, g2_to_bytes, dlog_g2 = _g1_add, g1_to_bytes, dlog_g1
 
 
 class SupersingularBackend(PairingBackend):
@@ -467,20 +496,21 @@ class SupersingularBackend(PairingBackend):
     a mixed addition of an affine point.  A variable base k*a and the
     Miller loop over q feed it a signed-digit chain: each digit d of a
     width-w non-adjacent form (NAF) doubles T and then adds d*a, an odd
-    multiple of the base or one with y negated.  A linear combination, the
-    sum of k*a over its terms, walks the width-4 NAFs of all its k at once,
-    each with its a, 3a, 5a and 7a, made per call, and k*a is its one-term
-    case; the Miller loop walks the width-2 NAF of q with U and -U, its
-    digits computed once.  k*P for the generator P feeds it a Lim-Lee comb
-    instead: k mod q is cut into 8 rows, and each of the ceil(bits/8)
-    columns, one bit (tooth) from each row, is one doubling and one
-    addition of a point from a table of the 255 sums of P's row multiples,
-    made on the first k*P.  Odd multiples, comb rows and table entries are
-    walked on the same loop from a Jacobian start point, each list made
-    affine together with one batched inversion, and one more field
-    inversion leaves Jacobian form after the walk.  G2 elements live
-    in the order-q subgroup of F_p^2 = F_p[i] (i^2 = -1) and are stored as
-    coefficient pairs (c0, c1).
+    multiple of the base or one with y negated.  The Miller loop walks the
+    width-2 NAF of q with U and -U, its digits computed once.  A linear
+    combination, the sum of k*a over its terms, walks one chain per term,
+    all aligned at their last digit on one run of doublings, and k*a is
+    its one-term case.  A variable base's chain is the width-4 NAF of k
+    with a, 3a, 5a and 7a, made per call.  A ``FixedBase`` (P with 8
+    teeth, a KGC key with 6) brings a Lim-Lee comb instead: k mod q is cut
+    into ``teeth`` rows, and each of the ceil(bits/teeth) columns, one bit
+    (tooth) from each row, adds a point of a table of the 2^teeth - 1 sums
+    of the base's row multiples, made on its first multiplication.  Odd
+    multiples, comb rows and table entries are walked on the same loop
+    from a Jacobian start point, each list made affine together with one
+    batched inversion, and one more field inversion leaves Jacobian form
+    after the walk.  G2 elements live in the order-q subgroup of
+    F_p^2 = F_p[i] (i^2 = -1) and are stored as coefficient pairs (c0, c1).
     The second pairing argument is passed through the distortion map
     psi(x, y) = (-x, i*y); because the x-coordinate of a distorted point
     stays in F_p, every vertical line lands in F_p^* and is erased by the
@@ -502,10 +532,8 @@ class SupersingularBackend(PairingBackend):
         if self.p % 4 != 3:
             raise ClakaError("field prime must be 3 mod 4")
         self.point_width = (self.p.bit_length() + 7) // 8
-        self._comb = None  # (columns, table), built by the first k*P
         self._q_naf = _naf(q, 2)  # the Miller loop's digits
-        self.P = self.g1_identity()  # no comb while the generator is searched
-        self.P = G1Point(self, self._find_generator())
+        self.P = self.fixed_base(G1Point(self, self._find_generator()), _COMB_TEETH)
         self.g = self.pair(self.P, self.P)
         if self.g.is_identity():
             raise ClakaError("pairing parameters are degenerate")
@@ -601,30 +629,32 @@ class SupersingularBackend(PairingBackend):
             Z = Z3
         return (X, Y, Z), f
 
-    def _naf_steps(self, digits, odd, *more):
-        # the chain (digits, odd) and the chains in ``more``, each digits top
-        # first, aligned at their last digit.  Each digit position doubles T
-        # (the top one starts it from O) and then adds, chain by chain, d*a:
-        # odd[|d| // 2] = |d|*a, with y negated for d < 0.  A zero digit has
-        # no addend, and neither has a multiple that is O
+    def _naf_chain(self, digits, odd):
+        # the addend of each digit d, top first: odd[|d| // 2] = |d|*a, with
+        # y negated for d < 0; None for a zero digit or a multiple that is O
         p = self.p
-        chains = ((digits, odd), *more)
-        length = max(len(digits) for digits, _ in chains)
-        adds = [()] * length  # the addends of each digit position
-        for digits, odd in chains:
-            addend = {}
-            for i, m in enumerate(odd):
-                if m is not None:
-                    addend[2 * i + 1] = m
-                    addend[-2 * i - 1] = (m[0], -m[1] % p)
-            for i, d in enumerate(digits, length - len(digits)):
-                if d in addend:
-                    adds[i] += (addend[d],)
+        addend = {}
+        for i, m in enumerate(odd):
+            if m is not None:
+                addend[2 * i + 1] = m
+                addend[-2 * i - 1] = (m[0], -m[1] % p)
+        return [addend.get(d) for d in digits]
+
+    def _chain_steps(self, chains):
+        # the steps of chains of addends, each top first, aligned at their
+        # last: each position doubles T (the top one starts it from O) and
+        # then adds, chain by chain, the addends that are not None
+        length = max(map(len, chains))
         steps = []
-        for position in adds:
+        for position in zip(*([None] * (length - len(chain)) + chain for chain in chains)):
             steps.append(None)
-            steps += position
+            for b in position:
+                if b is not None:
+                    steps.append(b)
         return steps[1:]  # T = O needs no first doubling
+
+    def _naf_steps(self, digits, odd, *more):
+        return self._chain_steps([self._naf_chain(*chain) for chain in ((digits, odd), *more)])
 
     def _q_walk(self, a, at=None):
         # the Miller loop's walk over the width-2 NAF of q: T ends at q*a,
@@ -652,63 +682,71 @@ class SupersingularBackend(PairingBackend):
         out.reverse()
         return out
 
-    def _comb_table(self):
-        # entry j is the sum of 2^(i*d) * P over the bits i set in j.  Row
+    def _comb_table(self, a=None, teeth=_COMB_TEETH):
+        # the comb of ``teeth`` rows for the affine base a, by default P:
+        # entry j is the sum of 2^(i*d) * a over the bits i set in j.  Row
         # i + 1 is d doublings on from row i, and entry j adds its lowest
         # row to entry j - low, each walked from a Jacobian start; rows and
         # entries are each made affine together.  Entry 0 is O
-        d = -(-self.q.bit_length() // _COMB_TEETH)
-        rows = [(*self.P.data, 1)]
-        for _ in range(_COMB_TEETH - 1):
+        d = -(-self.q.bit_length() // teeth)
+        rows = [(*(self.P.data if a is None else a), 1)]
+        for _ in range(teeth - 1):
             rows.append(self._ladder([None] * d, start=rows[-1])[0])
         rows = self._to_affine(rows)
         table = [(1, 1, 0)]
-        for j in range(1, 1 << _COMB_TEETH):
+        for j in range(1, 1 << teeth):
             low = j & -j
             table.append(self._ladder([rows[low.bit_length() - 1]], start=table[j ^ low])[0])
         return d, self._to_affine(table)
 
-    def _comb_steps(self, k):
-        # Lim-Lee comb for 0 <= k < 2^(teeth*d): row i holds bits i*d up to
-        # i*d + d - 1 of k, and bit c of each row (row i as bit i of the
-        # index, so the top row comes first) picks the table entry added
-        # after the doubling for column c, so T = sum of 2^c * entry_c = k*P
-        if self._comb is None:
-            self._comb = self._comb_table()
-        d, table = self._comb
-        bits = format(k, f"0{_COMB_TEETH * d}b")
-        steps = []
-        for column in zip(*(bits[i : i + d] for i in range(0, _COMB_TEETH * d, d))):
-            steps.append(None)
-            entry = table[int("".join(column), 2)]
-            if entry is not None:
-                steps.append(entry)
-        return steps[1:]  # T = O needs no first doubling
+    def _comb_chain(self, k, base):
+        # Lim-Lee comb of the fixed base for 0 <= k < 2^(teeth*d): row i
+        # holds bits i*d up to i*d + d - 1 of k, and bit c of each row (row
+        # i as bit i of the index, so the top row comes first) picks the
+        # table entry added after the doubling for column c, so the chain
+        # sums 2^c * entry_c = k*base
+        if base.comb is None:
+            base.comb = self._comb_table(base.data, base.teeth)
+        d, table = base.comb
+        width = base.teeth * d
+        bits = format(k, f"0{width}b")
+        return [table[int("".join(column), 2)] for column in zip(*(bits[i : i + d] for i in range(0, width, d)))]
 
     def _ec_lincomb(self, terms):
-        # the sum of k*a over the (k, a) terms: one inversion makes the odd
-        # multiples a, 3a, 5a, 7a of every base affine, the width-4 NAFs of
-        # all k > 0 are walked at once, interleaved on one run of doublings
-        # (Moeller, SAC 2001), and one more inversion leaves Jacobian form
-        terms = [(k, a) for k, a in terms if k and a is not None]
-        if not terms:
-            return None
+        # the sum of k*a over the (k, a) terms, a an affine point, None or a
+        # FixedBase.  A fixed base brings its comb chain for k mod q; one
+        # inversion makes the odd multiples a, 3a, 5a, 7a of every other
+        # base affine for the width-4 NAF chain of k > 0.  All chains are
+        # walked at once, interleaved on one run of doublings (Moeller, SAC
+        # 2001), and one more inversion leaves Jacobian form
+        chains, variable = [], []
+        for k, a in terms:
+            if isinstance(a, FixedBase):
+                if k % self.q:
+                    chains.append(self._comb_chain(k % self.q, a))
+            elif k and a is not None:
+                variable.append((k, a))
         odd = []
-        for _, a in terms:
+        for _, a in variable:
             odd.append((*a, 1))
             for _ in range(3):  # the next odd multiple adds a twice
                 odd.append(self._ladder([a, a], start=odd[-1])[0])
         odd = self._to_affine(odd)
-        chains = [(_naf(k, 4), odd[4 * i : 4 * i + 4]) for i, (k, _) in enumerate(terms)]
-        steps = self._naf_steps(*chains[0], *chains[1:])
-        return self._to_affine([self._ladder(steps)[0]])[0]
+        chains += [self._naf_chain(_naf(k, 4), odd[4 * i : 4 * i + 4]) for i, (k, _) in enumerate(variable)]
+        if not chains:
+            return None
+        return self._to_affine([self._ladder(self._chain_steps(chains))[0]])[0]
 
     def _ec_mul(self, k, a):
-        # k*P walks the comb (P has order q); any other base is the one-term
-        # linear combination
-        if k and a is not None and a == self.P.data:
-            return self._to_affine([self._ladder(self._comb_steps(k % self.q))[0]])[0]
+        # k*a for an affine a: the one-term linear combination
         return self._ec_lincomb([(k, a)])
+
+    def _g1_lincomb(self, terms):
+        # a fixed base brings its comb; any other point walks as its data
+        return self._ec_lincomb([(k, a if isinstance(a, FixedBase) else a.data) for k, a in terms])
+
+    def _g1_mul(self, k, a):
+        return self._g1_lincomb([(k, a)])
 
     # -- F_p^2 arithmetic -----------------------------------------------------
 
@@ -748,7 +786,12 @@ class SupersingularBackend(PairingBackend):
     def g2_identity(self):
         return G2Elem(self, (1, 0))
 
-    _g1_add, _g1_neg, _g1_mul, _g1_lincomb = _ec_add, _ec_neg, _ec_mul, _ec_lincomb
+    def fixed_base(self, point, teeth):
+        if isinstance(point, FixedBase) or point.data is None:
+            return point
+        return FixedBase(self, point.data, teeth)
+
+    _g1_add, _g1_neg = _ec_add, _ec_neg
     _g2_mul, _g2_pow = _f2_mul, _f2_pow
 
     def pair(self, u, v):

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import clsig
 from .errors import SignatureInvalidError
-from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public, identity_point, public_key_hash
+from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public, identity_terms, public_key_hash
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
 from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey, SessionView
 
@@ -30,13 +30,14 @@ def round1(params: SystemParams, peers: Sequence[PartyPublic], rng) -> PairwiseF
 
     Needs no keys of the sender at all, only the peers' public data; the
     repaired variant exists because of exactly this gap.  Each T-value is
-    the one linear combination u * upk_V + (u * H2(upk_V)) * Q_V.
+    the one linear combination u * upk_V + (u * H2(upk_V)) * Q_V, with
+    Q_V's multiple split over the fixed bases P0 and P.
     """
     backend = params.backend
     u = backend.random_scalar(rng)
     t_out = {
         p.identity: backend.g1_lincomb(
-            [(u, p.upk), (u * public_key_hash(params, p.upk), identity_point(params, p.identity))]
+            [(u, p.upk), *identity_terms(params, p.identity, u * public_key_hash(params, p.upk))]
         )
         for p in peers
     }

@@ -232,6 +232,38 @@ def test_kgc_adversary_without_the_impersonated_partial_key(protocol, profile):
         assert outcome.details["substituted"] == "partial scalar and secret value of the impersonated party"
 
 
+@pytest.mark.parametrize("profile", ["t1009", "c160"])
+@pytest.mark.parametrize("protocol", ["xcl12", "xcl12i"])
+@pytest.mark.parametrize("withheld", ["A", "B"])
+def test_kgc_adversary_without_a_compromised_partial_key(withheld, protocol, profile):
+    # a grant without s_A or s_B gets a stand-in drawn from the adversary's
+    # rng, named in the details, and the attack is judged failed, not raised
+    config = harness.ScenarioConfig(protocol=protocol, profile=profile, seed=0, attack="kci-kgc")
+    world = harness.materialize(config)
+    a, b, c = canonical_identities(world.users.keys())
+    gone = {"A": a, "B": b}[withheld]
+    granted = attacks.grant_knowledge("kci-kgc", protocol, world.msk, world.users)
+    knowledge = dataclasses.replace(
+        granted,
+        partial_keys={i: k for i, k in granted.partial_keys.items() if i != gone},
+        full_keys={i: k for i, k in granted.full_keys.items() if i != gone},
+    )
+    assert knowledge.partial_scalar(gone) is None
+    public = harness.public_record(protocol, world.users[c])
+    adversary = attacks.make_live_adversary("kci-kgc", world.params, knowledge, public, harness.rng_for(0, "adversary"))
+    run = harness._drive_session(world, impostor=adversary)
+    honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
+    outcome = attacks.judge_outcome(run.adversary_result, honest_keys, run.aborted)
+    assert not outcome.success
+    assert outcome.failure == "derived key does not match the honest session key"
+    expected = f"partial scalar of {gone.decode()}"
+    if withheld == "A" and protocol == "xcl12":
+        expected += f"; secret value of {a.decode()}"  # A's full key held x_A too
+    assert outcome.details["stood_in"] == expected
+    if protocol == "xcl12i":
+        assert outcome.details["substituted"] == "secret value of the impersonated party"
+
+
 def test_attack_registry_partition():
     assert set(attacks.LIVE_ATTACKS) | set(attacks.PASSIVE_ATTACKS) == set(attacks.ATTACK_FAMILIES)
     assert not set(attacks.LIVE_ATTACKS) & set(attacks.PASSIVE_ATTACKS)

@@ -1,11 +1,12 @@
 """Key pipelines: extraction, verification, user keys, import/export."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
-from clakalab import keyinfra
+from clakalab import harness, keyinfra
 from clakalab.errors import DegenerateScalarError, EncodingError
 from clakalab.keyinfra import (
     Xcl12PartialKey,
@@ -25,7 +26,7 @@ from clakalab.keyinfra import (
     xcq11_user_keygen,
     xcq11_verify_partial,
 )
-from clakalab.pairing import OpCounter, SupersingularBackend, metered
+from clakalab.pairing import FixedBase, G1Point, OpCounter, SupersingularBackend, metered
 
 
 def make_params(backend, seed=11):
@@ -51,6 +52,35 @@ def test_setup_seeds_differ(t256):
     _, m1 = setup(t256, random.Random(1))
     _, m2 = setup(t256, random.Random(2))
     assert m1.x != m2.x
+
+
+@pytest.mark.parametrize("protocol", ["xcq11", "xcq11i", "xcl12", "xcl12i"])
+def test_p0_comb_is_built_once_per_world(protocol, monkeypatch):
+    builds = []
+    build = SupersingularBackend._comb_table
+
+    def counted(backend, a=None, teeth=8):
+        builds.append((a, teeth))
+        return build(backend, a, teeth)
+
+    monkeypatch.setattr(SupersingularBackend, "_comb_table", counted)
+    world = harness.materialize(harness.ScenarioConfig(protocol=protocol, profile="c160", seed=3))
+    run = harness._drive_session(world)
+    params = world.params
+    assert run.keys and all(k is not None for k in run.keys.values())
+    assert isinstance(params.p0, FixedBase) and params.p0.comb is not None
+    assert builds.count((params.p0.data, keyinfra.P0_TEETH)) == 1
+    # the table stays with the parameters' P0, which equals a plain x*P
+    assert dataclasses.replace(params, key_bits=128).p0 is params.p0
+    plain = world.msk.x * world.backend.P
+    assert type(plain) is G1Point and plain == params.p0 and params.p0 == plain
+    assert params == keyinfra.SystemParams(world.backend, plain, params.key_bits)
+    assert builds.count((params.p0.data, keyinfra.P0_TEETH)) == 1
+
+
+def test_transparent_p0_stays_a_plain_point(t256):
+    params, msk = make_params(t256)
+    assert type(params.p0) is G1Point and params.p0 == msk.x * t256.P
 
 
 # -- inverse-point pipeline ---------------------------------------------------

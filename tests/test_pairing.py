@@ -19,6 +19,7 @@ from clakalab.pairing import (
     _COMB_TEETH,
     _GENERATOR_SEARCH,
     _Q_160,
+    FixedBase,
     G1Point,
     OpCounter,
     SupersingularBackend,
@@ -682,6 +683,48 @@ def test_curve_core_matches_the_affine_model(profile, data):
         combination = b.g1_lincomb([(k, point), (b.scalar(k2), G1Point(b, base2))])
     assert combination.data == b._ec_add(_affine_mul(b, k % q, base), _affine_mul(b, k2 % q, base2))
     assert counter.as_dict() == {"point_adds": 1, "scalar_muls": 2, "pairings": 0, "g2_exps": 0}
+
+
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_fixed_base_combinations_match_the_affine_model(profile):
+    # a 6-teeth KGC key P0 = x*P and the 8-teeth P walk their combs inside
+    # g1_lincomb, beside a variable base's NAF chain and the identity
+    b = get_backend(profile)
+    q = b.q
+    rng = random.Random(f"fixed-base/{profile}")
+    x = rng.randrange(2, q)
+    p0 = b.fixed_base(b.scalar(x) * b.P, 6)
+    assert isinstance(p0, FixedBase) and b.fixed_base(p0, 6) is p0 and isinstance(b.P, FixedBase)
+    variable = G1Point(b, _affine_mul(b, rng.randrange(2, q), b.P.data))
+    identity = b.g1_identity()
+    assert b.fixed_base(identity, 6) is identity
+    model = {id(p0): _affine_mul(b, x, b.P.data), id(b.P): b.P.data, id(variable): variable.data, id(identity): None}
+
+    def check(terms):
+        expected = None
+        for k, point in terms:
+            expected = b._ec_add(expected, _affine_mul(b, k % q, model[id(point)]))
+        assert b.g1_lincomb(terms).data == expected, [(k, type(point).__name__) for k, point in terms]
+
+    # scalars below 2^d leave every comb row but the lowest zero
+    below = {}
+    for teeth in (6, 8):
+        d = -(-q.bit_length() // teeth)
+        below[teeth] = [1, (1 << d) - 1, rng.randrange(2, 1 << d)]
+    scalars = [1, q - 1, rng.randrange(2, q)]
+    for k in scalars + below[6]:
+        check([(k, p0)])
+        for k2 in scalars + below[8]:
+            check([(k, p0), (k2, b.P)])
+            check([(k2, variable), (k, p0), (k2, b.P)])
+        check([(k, p0), (k, variable), (k, identity)])
+        check([(k, identity), (k, p0)])
+    # k*P0 + (-k*x)*P is O, alone and beside other terms
+    for k in scalars:
+        assert b.g1_lincomb([(k, p0), (-k * x, b.P)]).is_identity()
+        check([(k, p0), (-k * x, b.P), (k, variable)])
+    assert b.g1_lincomb([(q, p0), (0, b.P), (1, identity)]).is_identity()
+    assert p0.comb[0] == -(-q.bit_length() // 6) and len(p0.comb[1]) == 1 << 6
 
 
 def test_equal_points_encode_identically(t256):
