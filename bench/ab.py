@@ -1,4 +1,4 @@
-"""In-process A/B of two clakalab trees: whole sessions, and k*P0 per operation.
+"""In-process A/B of two clakalab trees: whole honest sessions per profile and variant.
 
 Loads the package twice in one interpreter, once from a git revision (the
 parent, unpacked with ``git archive``) and once from a source directory (by
@@ -10,14 +10,11 @@ reports must be byte-identical, or the script stops.
 Usage, from the root of the repository, once the change is committed
 (``--parent HEAD`` compares an uncommitted ``src/`` with the last commit):
 
-    python3 bench/fixed_base_ab.py --parent HEAD~1 --out BENCH_23.json
+    python3 bench/ab.py --parent HEAD~1 --out BENCH_NN.json
 
 Figures per profile and variant: the median ms per session of each side,
 the parent's quartiles, change/parent as a ratio of medians, the share of
-pairs the change won, and the median pair ratio for each run order.  Per
-operation on c160 and c256, best of ``--op-repeats`` in the change's tree:
-k*P0 by the variable-base walk, by P0's comb alone, inside a two-term
-linear combination beside a variable base, and the build of P0's table.
+pairs the change won, and the median pair ratio for each run order.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ def load_tree(name: str, src_dir: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("harness", "keyinfra", "pairing", "wire")}
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("harness", "wire")}
 
 
 def unpack_revision(rev: str, into: str) -> str:
@@ -134,42 +131,11 @@ def compare_sessions(trees, profile: str, rounds: int, batch: int, rng) -> dict:
     return out
 
 
-def best_ms(fn, args_list) -> float:
-    best = float("inf")
-    for args in args_list:
-        start = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best * 1000
-
-
-def per_op(tree, profile: str, repeats: int, rng) -> dict:
-    """k*P0 on the change's tree: variable walk, comb, comb beside a variable base, table build."""
-    pairing, keyinfra = tree["pairing"], tree["keyinfra"]
-    backend = pairing.get_backend(profile)
-    params, _ = keyinfra.setup(backend, rng)
-    p0 = params.p0
-    plain_p0 = pairing.G1Point(backend, p0.data)
-    other = backend.random_scalar(rng) * backend.P  # a variable base
-    scalars = [(backend.random_scalar(rng), backend.random_scalar(rng)) for _ in range(repeats)]
-    p0 * scalars[0][0]  # builds the table
-    return {
-        "teeth": p0.teeth,
-        "variable_walk_ms": best_ms(lambda k: k * plain_p0, [(k,) for k, _ in scalars]),
-        "comb_ms": best_ms(lambda k: k * p0, [(k,) for k, _ in scalars]),
-        "variable_base_alone_ms": best_ms(lambda k: k * other, [(k,) for _, k in scalars]),
-        "two_term_with_comb_ms": best_ms(lambda k, j: backend.g1_lincomb([(k, p0), (j, other)]), scalars),
-        "two_term_both_variable_ms": best_ms(lambda k, j: backend.g1_lincomb([(k, plain_p0), (j, other)]), scalars),
-        "table_build_ms": best_ms(lambda: backend._comb_table(p0.data, p0.teeth), [()] * max(3, repeats // 4)),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent tree")
     parser.add_argument("--change", default="src", help="source directory of the changed tree")
-    parser.add_argument("--seed", type=int, default=23, help="seed of the run order and the per-op scalars")
-    parser.add_argument("--op-repeats", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=23, help="seed of the run order")
     parser.add_argument("--profiles", default="c160,c256,t256", help="comma-separated profiles of the session A/B")
     parser.add_argument("--out", default=None, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
@@ -198,7 +164,6 @@ def main(argv=None) -> int:
                 "seed": args.seed,
             },
             "sessions": {profile: compare_sessions(trees, profile, rounds, batch, rng) for profile, rounds, batch in plans},
-            "k_times_p0": {profile: per_op(trees["change"], profile, args.op_repeats, rng) for profile, _, _ in plans if profile.startswith("c")},
         }
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -39,7 +39,6 @@ from .keyinfra import (
     Xcl12UserKeys,
     combined_public,
     identity_hash,
-    masked_base,
     public_key_hash,
 )
 from .pairing import G1Point, Scalar
@@ -349,7 +348,7 @@ class SharedValuesAdversary(LiveAdversary):
 
     def flows(self, peers):
         state = xcl12.round1(self.params, peers, self.rng)
-        self.ephemeral = state.ephemeral
+        self.ephemeral, self.bases = state.ephemeral, state.peer_bases
         return state
 
     def shared_values(self, view) -> AdversaryResult:
@@ -381,10 +380,7 @@ class SharedValuesAdversary(LiveAdversary):
             # points plus the recovered a*P and b*P, but the exponents need
             # s_C^-1 and x_C; a random guess stands in for x_C, which no
             # grant holds, and for s_C^-1 when the grant lacks C's partial key
-            base2 = backend.pair(
-                a_point + masked_base(self.params, a, parties[a].r_point),
-                b_point + masked_base(self.params, b, parties[b].r_point),
-            )
+            base2 = backend.pair(a_point + self.bases[a], b_point + self.bases[b])
             base3 = backend.pair(a_point + parties[a].upk, b_point + parties[b].upk)
             s_c = knowledge.partial_scalar(c)
             s_c_inverse = backend.random_scalar(self.rng) if s_c is None else s_c.inverse()

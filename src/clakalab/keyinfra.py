@@ -145,10 +145,7 @@ class Xcq11UserKeys:
 
 def xcq11_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes) -> Xcq11PartialKey:
     """s_U = (x + q_U)^-1 * P.  Deterministic given the master key."""
-    denom = msk.x + identity_hash(params, identity)
-    if denom.is_zero():
-        raise DegenerateScalarError("identity hash collides with the negated master key")
-    return Xcq11PartialKey(denom.inverse() * params.backend.P)
+    return Xcq11PartialKey((msk.x + identity_hash(params, identity)).inverse() * params.backend.P)
 
 
 def xcq11_verify_partial(params: SystemParams, identity: bytes, partial: Xcq11PartialKey) -> bool:

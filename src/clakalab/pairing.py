@@ -856,8 +856,6 @@ class SupersingularBackend(PairingBackend):
         c1 = int.from_bytes(raw[w:], "big")
         if c0 >= self.p or c1 >= self.p:
             raise EncodingError("G2 coefficient out of range")
-        if (c0 * c0 + c1 * c1) % self.p != 1:
-            raise EncodingError("G2 element is not unitary")
         if self._f2_pow((c0, c1), self.q) != (1, 0):
             raise EncodingError("G2 element is not in the order-q subgroup")
         return G2Elem(self, (c0, c1))

@@ -26,7 +26,7 @@ from clakalab.keyinfra import (
     xcq11_user_keygen,
     xcq11_verify_partial,
 )
-from clakalab.pairing import FixedBase, G1Point, OpCounter, SupersingularBackend, metered
+from clakalab.pairing import FixedBase, G1Point, OpCounter, SupersingularBackend, get_backend, metered
 
 
 def make_params(backend, seed=11):
@@ -127,6 +127,16 @@ def test_xcq11_degenerate_identity_reported(t1009):
     )
     with pytest.raises(DegenerateScalarError):
         xcq11_extract_partial(params, msk, identity)
+
+
+@pytest.mark.parametrize("profile", ["t1009", "c160"])
+def test_xcq11_master_key_on_the_negated_identity_hash_reported(profile):
+    # x = -H1(ID) set directly, on a curve too, where no search can find it
+    backend = get_backend(profile)
+    params, _ = make_params(backend)
+    msk = keyinfra.MasterKey(backend.scalar(-identity_hash(params, b"alice").value))
+    with pytest.raises(DegenerateScalarError):
+        xcq11_extract_partial(params, msk, b"alice")
 
 
 def test_xcq11_user_keys(t1009, rng):

@@ -336,6 +336,17 @@ def test_crypto_decodes_name_each_rejected_form(profile):
             decode(raw)
 
 
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_crypto_g1_decode_rejects_a_wrong_length(profile):
+    b = get_backend(profile)
+    w = b.point_width
+    raw = b.P.to_bytes()
+    # a zero byte put before y would decode to P again without the length check
+    for bad in (raw[: 1 + w] + b"\x00" + raw[1 + w :], raw[:-1], raw + b"\x00"):
+        with pytest.raises(EncodingError, match="G1 encoding must be"):
+            b.g1_from_bytes(bad)
+
+
 # -- curve arithmetic on the crypto profiles --------------------------------------
 
 # encodings on the crypto profiles: P, g, k*P (k = -1 is q - 1) and
