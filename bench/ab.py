@@ -14,7 +14,9 @@ Usage, from the root of the repository, once the change is committed
 
 Figures per profile and variant: the median ms per session of each side,
 the parent's quartiles, change/parent as a ratio of medians, the share of
-pairs the change won, and the median pair ratio for each run order.
+pairs the change won, the median pair ratio for each run order, and each
+side's group operations in one whole session (seed 1, keygen and report
+included), as ``OpCounter`` counts them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def load_tree(name: str, src_dir: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("harness", "wire")}
+    return {mod: importlib.import_module(f"{name}.{mod}") for mod in ("harness", "pairing", "wire")}
 
 
 def unpack_revision(rev: str, into: str) -> str:
@@ -89,6 +91,24 @@ def session_sample(tree, profile: str, protocol: str, seeds) -> tuple[float, lis
     return elapsed * 1000 / len(seeds), [wire.canonical_json(r) for r in reports]
 
 
+def session_ops(tree, profile: str, protocol: str, seed: int) -> dict:
+    """Group operations of one whole honest session and its report.
+
+    An inner ``metered`` block counts toward its own counter only, so the
+    parties' counters are added to the outer block's.
+    """
+    harness, pairing = tree["harness"], tree["pairing"]
+    outer = pairing.OpCounter()
+    with pairing.metered(outer):
+        run = harness.run_honest_session(harness.ScenarioConfig(protocol=protocol, profile=profile, seed=seed))
+        harness.build_run_report(run)
+    total = outer.as_dict()
+    for counter in run.op_counts.values():
+        for name, count in counter.as_dict().items():
+            total[name] += count
+    return total
+
+
 def quartiles(values) -> list[float]:
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return [q1, q2, q3]
@@ -124,6 +144,7 @@ def compare_sessions(trees, profile: str, rounds: int, batch: int, rng) -> dict:
             "median_pair_ratio": statistics.median(c / p for p, c, _ in samples),
             "median_pair_ratio_parent_first": by_order["parent"],
             "median_pair_ratio_change_first": by_order["change"],
+            "ops_per_session": {side: session_ops(trees[side], profile, protocol, 1) for side in ("parent", "change")},
         }
     parent_all = sum(o["parent_median_ms"] for o in out.values())
     change_all = sum(o["change_median_ms"] for o in out.values())

@@ -306,18 +306,22 @@ class MaskedPointKciAdversary(LiveAdversary):
             self.ephemeral = state.ephemeral
             return state
         # repaired variant: a signature over (T_C, upk_C) is required, and
-        # S_C is not available; sign with a fresh random stand-in key
+        # S_C is not available; sign with a fresh random stand-in key.  Nor
+        # is x_C, so the commitment pairs k*P with P_C
         backend = self.params.backend
         u = backend.random_scalar(self.rng)
         self.ephemeral = u
         t_point = u * backend.P
         stand_in = backend.random_scalar(self.rng) * backend.P
-        sig = clsig.sign(
+        public_point = combined_public(self.params, self.public.identity, self.public.upk)
+        k = backend.random_scalar(self.rng)
+        sig = clsig.respond(
             self.params,
+            k,
+            backend.pair(k * backend.P, public_point),
             stand_in,
-            combined_public(self.params, self.public.identity, self.public.upk),
+            public_point,
             xcq11.signed_payload(t_point, self.public.upk),
-            self.rng,
         )
         return xcq11.Xcq11SignedOutgoing(u, t_point, sig)
 

@@ -25,8 +25,8 @@ collisions are actually reachable, so the guards are tested, not decorative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from .errors import DegenerateScalarError, EncodingError, ScenarioError
 from .pairing import (
@@ -34,6 +34,7 @@ from .pairing import (
     KEY_BITS_RULE,
     PROFILE_NAMES,
     G1Point,
+    G2Elem,
     PairingBackend,
     Scalar,
     encode_parts,
@@ -58,15 +59,18 @@ P0_TEETH = 6
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Public system parameters: the backend (q, P, e, g) plus P0 = x*P.
+    """Public system parameters: the backend (q, P, e, g) plus P0 = x*P and g0 = e(P, P0).
 
     P0 is made a fixed base of the backend, so its comb table is built by
-    its first multiple and kept with these parameters.
+    its first multiple and kept with these parameters.  g0 is ``g ** x``,
+    made by ``master_params`` where x is held; it follows from P0, so it
+    takes no part in equality.
     """
 
     backend: PairingBackend
     p0: G1Point
     key_bits: int = DEFAULT_KEY_BITS
+    g0: Optional[G2Elem] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p0", self.backend.fixed_base(self.p0, P0_TEETH))
@@ -79,10 +83,15 @@ class MasterKey:
     x: Scalar
 
 
+def master_params(backend: PairingBackend, x: Scalar, key_bits: int) -> SystemParams:
+    """The system parameters of the master scalar x: P0 = x*P and g0 = e(P, P0) = g ** x."""
+    return SystemParams(backend, x * backend.P, key_bits, backend.g**x)
+
+
 def setup(backend: PairingBackend, rng, key_bits: int = DEFAULT_KEY_BITS):
     """Pick a master key and publish the matching system parameters."""
     x = backend.random_scalar(rng)
-    return SystemParams(backend, x * backend.P, key_bits), MasterKey(x)
+    return master_params(backend, x, key_bits), MasterKey(x)
 
 
 # -- hash shorthands ---------------------------------------------------------
@@ -210,9 +219,13 @@ def xcl12_partial_key(params: SystemParams, msk: MasterKey, identity: bytes, r: 
 
 
 def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12PartialKey) -> bool:
-    """Check s_U * (R_U + H1(ID_U || R_U) * P0) == P, as one linear combination."""
-    s, h = partial.s_u, binding_hash(params, identity, partial.r_u)
-    return params.backend.g1_lincomb([(s, partial.r_u), (s * h, params.p0)]) == params.backend.P
+    """Check s_U * (R_U + H1(ID_U || R_U) * P0) == P, for s_U != 0.
+
+    On the curve this is R_U + H1(ID_U || R_U) * P0 == s_U^-1 * P, whose
+    two sides walk P0's and P's combs.
+    """
+    s, masked = partial.s_u, masked_base(params, identity, partial.r_u)
+    return not s.is_zero() and params.backend.g1_scales_to(s, masked, params.backend.P)
 
 
 def xcl12_user_keygen(params: SystemParams, identity: bytes, partial: Xcl12PartialKey, rng) -> Xcl12UserKeys:
@@ -299,7 +312,7 @@ def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, di
         fam = record["protocol"]
         backend = get_backend(profile)
         x = backend.scalar_from_bytes(bytes.fromhex(record["kgc"]["x"]))
-        params, msk = SystemParams(backend, x * backend.P, key_bits), MasterKey(x)
+        params, msk = master_params(backend, x, key_bits), MasterKey(x)
         users = {}
         for rec in record["users"]:
             identity = rec["id"].encode("utf-8")

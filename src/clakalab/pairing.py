@@ -70,7 +70,8 @@ _Q_160 = 0x8000000000000000000000000000000080000039
 _COFACTOR_160 = 216
 _COFACTOR_256 = 800
 
-#: teeth of the comb for multiples of the generator P: 2^teeth - 1 table points
+#: teeth of the combs for multiples of the generator P and powers of g:
+#: 2^teeth - 1 table entries each
 _COMB_TEETH = 8
 #: x-coordinates the generator search tries; about half give no curve
 #: point, so a sound curve runs out of them with chance about 2^-256
@@ -292,7 +293,7 @@ class FixedBase(G1Point):
     __slots__ = ("teeth", "comb")
 
     def __init__(self, backend: "PairingBackend", data, teeth: int):
-        super().__init__(backend, data)
+        _Element.__init__(self, backend, data)
         self.teeth = teeth
         self.comb = None
 
@@ -315,13 +316,23 @@ class G2Elem(_Element):
             return NotImplemented
         if _meter is not None:
             _meter.g2_exps += 1
-        return G2Elem(self.backend, self.backend._g2_pow(self.data, k))
+        return G2Elem(self.backend, self.backend._g2_pow(k, self))
 
     def is_identity(self) -> bool:
         return self.data == self.backend.g2_identity().data
 
     def to_bytes(self) -> bytes:
         return self.backend.g2_to_bytes(self)
+
+
+class FixedG2(G2Elem):
+    """A G2 element of order q raised by a comb of ``teeth`` rows, made by ``backend.fixed_base``.
+
+    ``comb`` is (columns, table), built by its first power.
+    """
+
+    __slots__ = ("teeth", "comb")
+    __init__ = FixedBase.__init__
 
 
 class PairingBackend:
@@ -332,10 +343,10 @@ class PairingBackend:
     ``profile``, ``supports_dlog``; the group API ``g1_identity``,
     ``g2_identity``, ``pair``, ``g1_to_bytes``, ``g1_from_bytes``,
     ``g2_to_bytes``, ``g2_from_bytes``; and the group law that the element
-    operators and ``g1_lincomb`` call: ``_g1_add``, ``_g1_neg``, ``_g2_mul``
-    and ``_g2_pow`` on element data, ``_g1_mul(k, point)`` and
-    ``_g1_lincomb`` on (k, point) terms, so that a fixed base can bring its
-    comb.
+    operators and ``g1_lincomb`` call: ``_g1_add``, ``_g1_neg`` and
+    ``_g2_mul`` on element data, ``_g1_mul(k, point)``, ``_g2_pow(k, elem)``
+    and ``_g1_lincomb`` on (k, point) terms, so that a fixed base can bring
+    its comb.
     """
 
     backend_id = "abstract"
@@ -413,9 +424,13 @@ class PairingBackend:
             _meter.point_adds += len(values) - 1
         return G1Point(self, self._g1_lincomb(values))
 
-    def fixed_base(self, point: G1Point, teeth: int) -> G1Point:
-        """``point``, of order q, as a base multiplied by a comb of ``teeth`` rows; here, itself."""
+    def fixed_base(self, point, teeth: int):
+        """``point``, of order q in G1 or G2, as a base taken by a comb of ``teeth`` rows; here, itself."""
         return point
+
+    def g1_scales_to(self, k: Scalar, a: G1Point, b: G1Point) -> bool:
+        """Whether k*a == b for a nonzero k, at the cost of one scalar multiplication."""
+        return k * a == b
 
     def _check_pair_args(self, u: G1Point, v: G1Point) -> None:
         """Check the arguments of one ``pair`` call, then count the pairing."""
@@ -463,9 +478,6 @@ class TransparentBackend(PairingBackend):
             total += k * a.data
         return total % self.q
 
-    def _g2_pow(self, a, k):
-        return k * a % self.q
-
     def pair(self, u, v):
         self._check_pair_args(u, v)
         return G2Elem(self, u.data * v.data % self.q)
@@ -483,7 +495,7 @@ class TransparentBackend(PairingBackend):
         return u.data
 
     # G2 is the same residue group as G1, its elements exponents of g
-    _g2_mul, g2_to_bytes, dlog_g2 = _g1_add, g1_to_bytes, dlog_g1
+    _g2_mul, _g2_pow, g2_to_bytes, dlog_g2 = _g1_add, _g1_mul, g1_to_bytes, dlog_g1
 
 
 class SupersingularBackend(PairingBackend):
@@ -511,6 +523,11 @@ class SupersingularBackend(PairingBackend):
     batched inversion, and one more field inversion leaves Jacobian form
     after the walk.  G2 elements live in the order-q subgroup of
     F_p^2 = F_p[i] (i^2 = -1) and are stored as coefficient pairs (c0, c1).
+    Each has norm c0^2 + c1^2 = 1, so its inverse is its conjugate
+    (c0, -c1), as -a is a with y negated: a G2 power walks the same chains
+    with squarings for doublings and products for additions (Scott and
+    Barreto, CRYPTO 2004), the width-4 NAF with u, u^3, u^5 and u^7 or,
+    for g, a comb of 8 teeth.
     The second pairing argument is passed through the distortion map
     psi(x, y) = (-x, i*y); because the x-coordinate of a distorted point
     stays in F_p, every vertical line lands in F_p^* and is erased by the
@@ -534,9 +551,10 @@ class SupersingularBackend(PairingBackend):
         self.point_width = (self.p.bit_length() + 7) // 8
         self._q_naf = _naf(q, 2)  # the Miller loop's digits
         self.P = self.fixed_base(G1Point(self, self._find_generator()), _COMB_TEETH)
-        self.g = self.pair(self.P, self.P)
-        if self.g.is_identity():
+        g = self.pair(self.P, self.P)
+        if g.is_identity():
             raise ClakaError("pairing parameters are degenerate")
+        self.g = self.fixed_base(g, _COMB_TEETH)
 
     # -- curve arithmetic ---------------------------------------------------
 
@@ -631,7 +649,8 @@ class SupersingularBackend(PairingBackend):
 
     def _naf_chain(self, digits, odd):
         # the addend of each digit d, top first: odd[|d| // 2] = |d|*a, with
-        # y negated for d < 0; None for a zero digit or a multiple that is O
+        # y negated (in G2, conjugated) for d < 0; None for a zero digit or
+        # a multiple that is O
         p = self.p
         addend = {}
         for i, m in enumerate(odd):
@@ -700,13 +719,14 @@ class SupersingularBackend(PairingBackend):
         return d, self._to_affine(table)
 
     def _comb_chain(self, k, base):
-        # Lim-Lee comb of the fixed base for 0 <= k < 2^(teeth*d): row i
-        # holds bits i*d up to i*d + d - 1 of k, and bit c of each row (row
-        # i as bit i of the index, so the top row comes first) picks the
-        # table entry added after the doubling for column c, so the chain
-        # sums 2^c * entry_c = k*base
+        # Lim-Lee comb of the fixed base, in G1 or G2, for 0 <= k < 2^(teeth*d):
+        # row i holds bits i*d up to i*d + d - 1 of k, and bit c of each row
+        # (row i as bit i of the index, so the top row comes first) picks
+        # the table entry added after the doubling for column c, so the
+        # chain sums 2^c * entry_c = k*base
         if base.comb is None:
-            base.comb = self._comb_table(base.data, base.teeth)
+            build = self._comb_table if isinstance(base, G1Point) else self._f2_comb_table
+            base.comb = build(base.data, base.teeth)
         d, table = base.comb
         width = base.teeth * d
         bits = format(k, f"0{width}b")
@@ -769,14 +789,46 @@ class SupersingularBackend(PairingBackend):
         norm_inv = pow(a * a + b * b, -1, p)
         return (a * norm_inv % p, -b * norm_inv % p)
 
+    def _f2_walk(self, chain, start=(1, 0)):
+        # a chain of G2 elements, top first, from start: each entry squares
+        # and then multiplies by the entry unless it is None
+        sqr, mul = self._f2_sqr, self._f2_mul
+        u = start
+        for m in chain:
+            u = sqr(u)
+            if m is not None:
+                u = mul(u, m)
+        return u
+
     def _f2_pow(self, u, e):
-        result = (1, 0)
-        while e:
-            if e & 1:
-                result = self._f2_mul(result, u)
-            u = self._f2_sqr(u)
-            e >>= 1
-        return result
+        # u^e for u of norm 1, whose inverse is its conjugate: the width-4
+        # NAF chain of e, with u, u^3, u^5 and u^7
+        u2 = self._f2_sqr(u)
+        odd = [u]
+        for _ in range(3):
+            odd.append(self._f2_mul(odd[-1], u2))
+        return self._f2_walk(self._naf_chain(_naf(e, 4), odd))
+
+    def _f2_comb_table(self, u, teeth):
+        # the comb of ``teeth`` rows for u, as _comb_table's for P: entry j
+        # is the product of u^(2^(i*d)) over the bits i set in j; entry 0,
+        # the identity, is None
+        d = -(-self.q.bit_length() // teeth)
+        rows = [u]
+        for _ in range(teeth - 1):
+            rows.append(self._f2_walk([None] * d, rows[-1]))
+        table = [(1, 0)]
+        for j in range(1, 1 << teeth):
+            low = j & -j
+            table.append(self._f2_mul(table[j ^ low], rows[low.bit_length() - 1]))
+        table[0] = None
+        return d, table
+
+    def _g2_pow(self, k, a):
+        # g brings its comb; any other element walks its signed digits
+        if isinstance(a, FixedG2):
+            return self._f2_walk(self._comb_chain(k, a))
+        return self._f2_pow(a.data, k)
 
     # -- group API ------------------------------------------------------------
 
@@ -787,12 +839,16 @@ class SupersingularBackend(PairingBackend):
         return G2Elem(self, (1, 0))
 
     def fixed_base(self, point, teeth):
-        if isinstance(point, FixedBase) or point.data is None:
+        if isinstance(point, (FixedBase, FixedG2)) or point.data is None:
             return point
-        return FixedBase(self, point.data, teeth)
+        return (FixedBase if isinstance(point, G1Point) else FixedG2)(self, point.data, teeth)
 
-    _g1_add, _g1_neg = _ec_add, _ec_neg
-    _g2_mul, _g2_pow = _f2_mul, _f2_pow
+    def g1_scales_to(self, k, a, b):
+        # as a == k^-1 * b, where a fixed base b walks its comb: an inversion
+        # costs less than the variable-base walk of k*a
+        return a == k.inverse() * b
+
+    _g1_add, _g1_neg, _g2_mul = _ec_add, _ec_neg, _f2_mul
 
     def pair(self, u, v):
         """Reduced Tate pairing e(U, psi(V)) with denominator elimination.
@@ -856,7 +912,8 @@ class SupersingularBackend(PairingBackend):
         c1 = int.from_bytes(raw[w:], "big")
         if c0 >= self.p or c1 >= self.p:
             raise EncodingError("G2 coefficient out of range")
-        if self._f2_pow((c0, c1), self.q) != (1, 0):
+        # the signed walk is exact on norm 1 only, which the subgroup needs anyway
+        if (c0 * c0 + c1 * c1) % self.p != 1 or self._f2_pow((c0, c1), self.q) != (1, 0):
             raise EncodingError("G2 element is not in the order-q subgroup")
         return G2Elem(self, (c0, c1))
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from . import clsig
 from .errors import SignatureInvalidError
-from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, combined_public, identity_terms, public_key_hash
+from .keyinfra import XCQ11_H3, SystemParams, Xcq11UserKeys, identity_terms, public_key_hash
 from .pairing import G1Point, G2Elem, Scalar, encode_parts
 from .session import PairwiseFlow, PairwiseView, PartyPublic, SessionKey, SessionView
 
@@ -102,14 +102,7 @@ def signed_payload(t_point: G1Point, upk: G1Point) -> bytes:
 def improved_round1(params: SystemParams, own: Xcq11UserKeys, rng) -> Xcq11SignedOutgoing:
     u = params.backend.random_scalar(rng)
     t_point = u * params.backend.P
-    sig = clsig.sign(
-        params,
-        own.full_key,
-        combined_public(params, own.identity, own.upk),
-        signed_payload(t_point, own.upk),
-        rng,
-    )
-    return Xcq11SignedOutgoing(u, t_point, sig)
+    return Xcq11SignedOutgoing(u, t_point, clsig.sign(params, own, signed_payload(t_point, own.upk), rng))
 
 
 def improved_derive(

@@ -14,7 +14,6 @@ from clakalab.harness import ScenarioConfig
 from clakalab.keyinfra import (
     Xcl12PartialKey,
     Xcq11PartialKey,
-    combined_public,
     identity_hash,
     setup,
 )
@@ -217,13 +216,12 @@ def test_criterion_7_signature_suite():
     rng = random.Random(7)
     params, msk = setup(backend, rng)
     user = keyinfra.make_user("xcq11", params, msk, b"signer", rng)
-    public_point = combined_public(params, user.identity, user.upk)
 
     honest_ok = 0
     signatures = []
     for i in range(1000):
         message = f"m{i}".encode()
-        sig = clsig.sign(params, user.full_key, public_point, message, rng)
+        sig = clsig.sign(params, user, message, rng)
         signatures.append((message, sig))
         honest_ok += clsig.verify(params, user.identity, user.upk, message, sig)
 

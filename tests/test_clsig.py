@@ -6,7 +6,7 @@ import pytest
 
 from clakalab import clsig
 from clakalab.keyinfra import combined_public, make_user, setup
-from clakalab.pairing import get_backend
+from clakalab.pairing import OpCounter, get_backend, metered
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +19,7 @@ def world():
 
 
 def _sign(params, user, message, rng):
-    public_point = combined_public(params, user.identity, user.upk)
-    return clsig.sign(params, user.full_key, public_point, message, rng)
+    return clsig.sign(params, user, message, rng)
 
 
 def test_completeness(world, rng):
@@ -39,6 +38,30 @@ def test_completeness_crypto_backend(c160, rng):
         message = f"m{i}".encode()
         sig = _sign(params, user, message, rng)
         assert clsig.verify(params, user.identity, user.upk, message, sig)
+
+
+@pytest.mark.parametrize("profile", ("t1009", "c160", "c256"))
+def test_commitment_is_the_pairing_it_replaces(profile):
+    # the signer forms R = g0^(k*e_U) * g^(k*e_U*q_U) from x_U; a clone of
+    # its rng gives the k that the pairing e(k*P, P_U) needs
+    backend = get_backend(profile)
+    rng = random.Random(f"commitment/{profile}")
+    params, msk = setup(backend, rng)
+    user = make_user("xcq11", params, msk, b"alice", rng)
+    public_point = combined_public(params, user.identity, user.upk)
+    for i in range(3):
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        k = backend.random_scalar(clone)
+        counter = OpCounter()
+        with metered(counter):
+            sig = clsig.sign(params, user, f"m{i}".encode(), rng)
+        assert sig.commitment.to_bytes() == backend.pair(k * backend.P, public_point).to_bytes()
+        c = clsig._challenge(params, sig.commitment, f"m{i}".encode(), public_point)
+        assert sig.response == k * backend.P + c * user.full_key
+        # P_U (2 muls, 2 adds), R (2 G2 powers) and z = k*P + c*S_U (2 muls, 1 add)
+        assert counter == OpCounter(point_adds=3, scalar_muls=4, pairings=0, g2_exps=2)
+        assert clsig.verify(params, user.identity, user.upk, f"m{i}".encode(), sig)
 
 
 def test_response_log_oracle(rng):
@@ -93,8 +116,7 @@ def test_cross_signing_rejected(world, rng):
     _, params, users = world
     alice, bob = users[b"alice"], users[b"bob"]
     # bob signs with his own full key but claims to be alice
-    public_bob = combined_public(params, bob.identity, bob.upk)
-    sig = clsig.sign(params, bob.full_key, public_bob, b"hi", rng)
+    sig = clsig.sign(params, bob, b"hi", rng)
     assert not clsig.verify(params, alice.identity, alice.upk, b"hi", sig)
 
 

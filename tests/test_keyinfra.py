@@ -199,6 +199,15 @@ def test_xcl12_random_forgeries_rejected(t256, rng):
         assert not xcl12_verify_partial(params, b"carol", fake)
 
 
+@pytest.mark.parametrize("profile", ["t256", "c160"])
+def test_xcl12_zero_partial_scalar_fails_without_raising(profile):
+    # the check compares the masked base with s_U^-1 * P, and 0 has no inverse
+    backend = get_backend(profile)
+    params, msk = make_params(backend)
+    partial = xcl12_extract_partial(params, msk, b"bob", random.Random(4))
+    assert not xcl12_verify_partial(params, b"bob", Xcl12PartialKey(backend.scalar(0), partial.r_u))
+
+
 def test_xcl12_user_keys(t256, rng):
     params, msk = make_params(t256)
     partial = xcl12_extract_partial(params, msk, b"carol", rng)
@@ -230,6 +239,17 @@ def test_keyring_round_trip(fam, t256):
             assert xcl12_verify_partial(params2, user.identity, loaded.partial)
 
 
+@pytest.mark.parametrize("profile", ["t256", "c160"])
+@pytest.mark.parametrize("fam", ["xcq11", "xcl12"])
+def test_g0_is_the_pairing_of_p_and_p0(profile, fam):
+    backend = get_backend(profile)
+    params, msk = make_params(backend)
+    users = [keyinfra.make_user(fam, params, msk, i, random.Random(6)) for i in (b"alice", b"bob")]
+    loaded = keyring_from_json(json.loads(json.dumps(keyring_to_json(fam, params, msk, users))))[1]
+    for p in (params, loaded):
+        assert p.g0 == backend.pair(backend.P, p.p0)
+
+
 @pytest.mark.parametrize("fam, muls, adds", [("xcq11", 13, 3), ("xcl12", 7, 0)])
 def test_keyring_load_takes_no_pairing_and_no_strict_decode(c160, monkeypatch, fam, muls, adds):
     params, msk = make_params(c160)
@@ -247,8 +267,8 @@ def test_keyring_load_takes_no_pairing_and_no_strict_decode(c160, monkeypatch, f
     counter = OpCounter()
     with metered(counter):
         keyring_from_json(record)
-    # x*P, then per user: xcq11 rebuilds s_U, Q_U (one addition), upk_U and S_U; xcl12 rebuilds R_U and upk_U
-    assert counter == OpCounter(point_adds=adds, scalar_muls=muls, pairings=0, g2_exps=0)
+    # x*P and g0 = g**x, then per user: xcq11 rebuilds s_U, Q_U (one addition), upk_U and S_U; xcl12 rebuilds R_U and upk_U
+    assert counter == OpCounter(point_adds=adds, scalar_muls=muls, pairings=0, g2_exps=1)
     # only xcl12 decodes a stored point, R_U, and not strictly: r*P must give it back
     assert strict_flags == ([False] * 3 if fam == "xcl12" else [])
 

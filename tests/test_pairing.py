@@ -14,13 +14,16 @@ from clakalab.errors import (
     DegenerateScalarError,
     EncodingError,
 )
+from clakalab.keyinfra import setup
 from clakalab.pairing import (
     _COFACTOR_160,
     _COMB_TEETH,
     _GENERATOR_SEARCH,
     _Q_160,
     FixedBase,
+    FixedG2,
     G1Point,
+    G2Elem,
     OpCounter,
     SupersingularBackend,
     _naf,
@@ -694,6 +697,98 @@ def test_curve_core_matches_the_affine_model(profile, data):
         combination = b.g1_lincomb([(k, point), (b.scalar(k2), G1Point(b, base2))])
     assert combination.data == b._ec_add(_affine_mul(b, k % q, base), _affine_mul(b, k2 % q, base2))
     assert counter.as_dict() == {"point_adds": 1, "scalar_muls": 2, "pairings": 0, "g2_exps": 0}
+
+
+def _f2_model_pow(p, u, k):
+    # reference: right-to-left square-and-multiply on the unreduced k
+    result = (1, 0)
+    while k:
+        if k & 1:
+            result = _f2_model_mul(p, result, u)
+        u = _f2_model_mul(p, u, u)
+        k >>= 1
+    return result
+
+
+#: width-4 NAF digits with every odd digit from -7 to 7, three zeros apart
+_ALL_DIGITS = [d for digit in (7, -5, 3, -1, 1, -3, 5, -7) for d in (digit, 0, 0, 0)][:-3]
+_ALL_DIGITS_K = functools.reduce(lambda acc, d: 2 * acc + d, _ALL_DIGITS, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _g2_bases(profile):
+    # g with its comb, a pairing value and g0 = e(P, P0), all of order q
+    b = get_backend(profile)
+    params, _ = setup(b, random.Random(f"g2-bases/{profile}"))
+    return {"g": b.g, "pairing value": b.pair(b.scalar(3) * b.P, b.scalar(5) * b.P), "g0": params.g0}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(profile=st.sampled_from(("c160", "c256")), data=st.data())
+def test_g2_powers_match_square_and_multiply(profile, data):
+    # g walks its comb and every other element its signed digits, with
+    # conjugates for the negative ones; both must be exact for any k
+    b = get_backend(profile)
+    q = b.q
+    assert _naf(_ALL_DIGITS_K, 4) == _ALL_DIGITS and {abs(d) for d in _ALL_DIGITS} == {0, 1, 3, 5, 7}
+    name = data.draw(st.sampled_from(sorted(_g2_bases(profile))), label="base")
+    base = _g2_bases(profile)[name]
+    k = data.draw(
+        st.one_of(
+            st.sampled_from((0, 1, q - 1, q, q + 1, _ALL_DIGITS_K)),
+            st.tuples(st.integers(1, q.bit_length()), st.sampled_from((-1, 1))).map(lambda t: (1 << t[0]) + t[1]),
+            st.integers(0, q - 1),
+        ),
+        label="k",
+    )
+    counter = OpCounter()
+    with metered(counter):
+        power = base**k
+    assert power.data == _f2_model_pow(b.p, base.data, k)
+    assert counter == OpCounter(g2_exps=1)
+    assert type(power) is G2Elem and isinstance(b.g, FixedG2)
+
+
+def test_g_comb_is_built_once_per_backend(monkeypatch):
+    builds = []
+    build = SupersingularBackend._f2_comb_table
+
+    def counted(backend, u, teeth):
+        builds.append((backend, u, teeth))
+        return build(backend, u, teeth)
+
+    monkeypatch.setattr(SupersingularBackend, "_f2_comb_table", counted)
+    b = SupersingularBackend(_Q_160, _COFACTOR_160, "c160")
+    # neither the backend nor a plain element builds a table
+    assert builds == [] and isinstance(b.g, FixedG2) and b.g.comb is None
+    plain = G2Elem(b, b.g.data)
+    assert plain**5 == b.g**5 and b.fixed_base(b.g, _COMB_TEETH) is b.g
+    rng = random.Random(2)
+    for _ in range(3):
+        setup(b, rng)
+        b.g ** b.random_scalar(rng)
+    assert builds == [(b, b.g.data, _COMB_TEETH)]
+    assert b.g.comb[0] == -(-b.q.bit_length() // _COMB_TEETH) and len(b.g.comb[1]) == 1 << _COMB_TEETH
+    # the transparent g stays a plain element
+    assert type(get_backend("t256").g) is G2Elem
+
+
+@pytest.mark.parametrize("profile", ("c160", "c256"))
+def test_g2_decode_rejects_a_norm_other_than_one(profile, monkeypatch):
+    # 2*g has norm 4, so its conjugate is not its inverse and the signed
+    # walk would be inexact on it: the norm check rejects it before any walk
+    b = get_backend(profile)
+    w, p = b.point_width, b.p
+    c0, c1 = b.g.data
+
+    def no_walk(u, e):
+        raise AssertionError("an element of norm other than 1 reached the walk")
+
+    monkeypatch.setattr(b, "_f2_pow", no_walk)
+    for z in ((2 * c0 % p, 2 * c1 % p), (2, 0), (0, 3)):
+        assert (z[0] * z[0] + z[1] * z[1]) % p != 1
+        with pytest.raises(EncodingError, match="order-q subgroup"):
+            b.g2_from_bytes(z[0].to_bytes(w, "big") + z[1].to_bytes(w, "big"))
 
 
 @pytest.mark.parametrize("profile", ("c160", "c256"))
