@@ -163,12 +163,8 @@ def judge_outcome(
     aborted: tuple[bytes, ...],
     failure: Optional[str] = None,
 ) -> AttackOutcome:
-    keys = list(honest_keys.values())
-    success = (
-        result.derived_key is not None
-        and not aborted
-        and all(k is not None and k == result.derived_key for k in keys)
-    )
+    # an aborted party's key is None, which no derived key equals
+    success = result.derived_key is not None and all(k == result.derived_key for k in honest_keys.values())
     if failure is None:
         if aborted:
             failure = "honest parties aborted (signature rejected)"

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from . import attacks, harness, keyinfra, wire
 from .errors import ClakaError, EncodingError, ScenarioError, SignatureInvalidError
-from .pairing import DEFAULT_KEY_BITS, PROFILE_NAMES, default_profile
+from .pairing import PROFILE_NAMES, default_profile
 from .session import PROTOCOL_VARIANTS, canonical_identities, family
 
 EXIT_OK = 0
@@ -90,13 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args, protocol=None) -> harness.ScenarioConfig:
     identities = tuple(i for i in args.ids.split(",") if i)
     profile = args.profile or default_profile(args.backend)
-    return harness.ScenarioConfig(
-        protocol=protocol or args.protocol,
-        profile=profile,
-        seed=args.seed,
-        identities=identities,
-        key_bits=DEFAULT_KEY_BITS,
-    )
+    return harness.ScenarioConfig(protocol=protocol or args.protocol, profile=profile, seed=args.seed, identities=identities)
 
 
 def _write_out(path: str | None, record: dict) -> None:

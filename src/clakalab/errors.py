@@ -24,9 +24,9 @@ class MissingTranscriptFieldError(ClakaError):
 class SignatureInvalidError(ClakaError):
     """A peer's round-one signature failed verification; the session aborts."""
 
-    def __init__(self, peer: bytes, reason: str = "signature rejected"):
+    def __init__(self, peer: bytes):
         self.peer = peer
-        super().__init__(f"{reason} (peer {peer!r})")
+        super().__init__(f"signature rejected (peer {peer!r})")
 
 
 class DegenerateDenominatorError(ClakaError):

@@ -76,21 +76,19 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping, protocol: Optional[str] = None) -> "ScenarioConfig":
-        """Parse a stored config; ``protocol`` stands in for a config that names none."""
+        """Parse a stored config; ``protocol`` stands in for a config that names none.
+
+        Any other field the config leaves out takes its declared default.
+        """
         if not isinstance(obj, Mapping):
             raise EncodingError("malformed scenario config: not a JSON object")
         identities = obj.get("identities", list(DEFAULT_IDENTITIES))
         if not isinstance(identities, list):
             raise EncodingError("scenario identities must be a JSON list")
+        values = {name: obj.get(name, f.default) for name, f in cls.__dataclass_fields__.items()}
+        values |= {"protocol": obj.get("protocol") if protocol is None else protocol, "identities": tuple(identities)}
         try:
-            return cls(
-                protocol=obj.get("protocol") if protocol is None else protocol,
-                profile=obj.get("profile", DEFAULT_PROFILE),
-                seed=obj.get("seed", 0),
-                identities=tuple(identities),
-                attack=obj.get("attack"),
-                key_bits=obj.get("key_bits", DEFAULT_KEY_BITS),
-            )
+            return cls(**values)
         except ScenarioError as exc:
             raise EncodingError(f"malformed scenario config: {exc}") from exc
 
@@ -110,20 +108,23 @@ class World:
 def materialize(config: ScenarioConfig, keyring: Optional[Mapping] = None) -> World:
     """Generate (or adopt) system parameters and all three users' keys."""
     fam = family(config.protocol)
-    ids = canonical_identities(tuple(i.encode("utf-8") for i in config.identities))
     if keyring is not None:
+        # the header is checked before any key is rebuilt; as sorted lists,
+        # the identities refuse a repeated or extra user
+        profile, identities, key_bits = keyinfra.keyring_header(keyring)
+        if profile != config.profile:
+            raise ScenarioError("key file profile does not match the scenario profile")
+        if sorted(identities) != sorted(config.identities):
+            raise ScenarioError("key file identities do not match the scenario identities")
+        if key_bits != config.key_bits:
+            raise ScenarioError("key file key_bits does not match the scenario key_bits")
         ring_fam, params, msk, users = keyinfra.keyring_from_json(keyring)
         if ring_fam != fam:
             raise ScenarioError(f"key file holds {ring_fam!r} material, not {fam!r}")
-        if params.backend.profile != config.profile:
-            raise ScenarioError("key file profile does not match the scenario profile")
-        if set(users) != set(ids):
-            raise ScenarioError("key file identities do not match the scenario identities")
-        if params.key_bits != config.key_bits:
-            raise ScenarioError("key file key_bits does not match the scenario key_bits")
         return World(config, params.backend, params, msk, users, keyring=dict(keyring))
     backend = get_backend(config.profile)
     params, msk = setup(backend, rng_for(config.seed, "setup"), config.key_bits)
+    ids = canonical_identities(tuple(i.encode("utf-8") for i in config.identities))
     users = {
         identity: keyinfra.make_user(fam, params, msk, identity, rng_for(config.seed, "user", identity.decode()))
         for identity in ids
@@ -205,7 +206,6 @@ class HonestSlotImpersonator(PartyMachine):
 class SessionRun:
     """Raw result of driving one broadcast session to completion."""
 
-    config: ScenarioConfig
     world: World
     transcript: dict
     keys: dict  # identity -> SessionKey | None
@@ -276,7 +276,6 @@ def _drive_session(world: World, impostor=None) -> SessionRun:
         identity: machine.state.ephemeral.value for identity, machine in machines.items()
     }
     return SessionRun(
-        config=config,
         world=world,
         transcript=transcript,
         keys=keys,
@@ -313,7 +312,7 @@ def build_run_report(run: SessionRun) -> dict:
     report = {
         "schema": wire.REPORT_SCHEMA,
         "kind": "run",
-        "config": run.config.to_json(),
+        "config": run.world.config.to_json(),
         "agreement": agreement_holds(run),
         "key_digests": {
             i.decode("utf-8"): wire.key_digest(k.key if k else None) for i, k in run.keys.items()
@@ -330,9 +329,7 @@ def build_run_report(run: SessionRun) -> dict:
 
 @dataclass
 class AttackRun:
-    config: ScenarioConfig
     outcome: attacks.AttackOutcome
-    transcript: dict
     report: dict
 
 
@@ -364,7 +361,7 @@ def run_attack_scenario(config: ScenarioConfig) -> AttackRun:
     honest_keys = {i: (k.key if k else None) for i, k in run.keys.items()}
     outcome = attacks.judge_outcome(result, honest_keys, run.aborted, failure)
     report = build_attack_report(config, knowledge, outcome, run.transcript, world)
-    return AttackRun(config, outcome, run.transcript, report)
+    return AttackRun(outcome, report)
 
 
 def build_attack_report(config, knowledge, outcome, transcript, world) -> dict:

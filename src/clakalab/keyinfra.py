@@ -202,20 +202,13 @@ class Xcl12UserKeys:
 
 
 def xcl12_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes, rng) -> Xcl12PartialKey:
-    """Pick r_U, publish R_U = r_U * P, issue s_U = (r_U + h*x)^-1."""
+    """Pick r_U, publish R_U = r_U * P, issue s_U = (r_U + h*x)^-1; draw again if r_U or that denominator is zero."""
     while True:
-        partial = xcl12_partial_key(params, msk, identity, params.backend.random_scalar(rng))
-        if partial is not None:
-            return partial
-
-
-def xcl12_partial_key(params: SystemParams, msk: MasterKey, identity: bytes, r: Scalar):
-    """R_U = r * P and s_U = (r + H1(ID_U || R_U) * x)^-1; ``None`` if r or that denominator is zero."""
-    r_point = r * params.backend.P
-    denom = r + binding_hash(params, identity, r_point) * msk.x
-    if r.is_zero() or denom.is_zero():
-        return None
-    return Xcl12PartialKey(denom.inverse(), r_point)
+        r = params.backend.random_scalar(rng)
+        r_point = r * params.backend.P
+        denom = r + binding_hash(params, identity, r_point) * msk.x
+        if not (r.is_zero() or denom.is_zero()):
+            return Xcl12PartialKey(denom.inverse(), r_point)
 
 
 def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12PartialKey) -> bool:
@@ -303,9 +296,10 @@ def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, di
     """Rebuild key material from a keyring record.
 
     The KGC key x and each user's secret value regenerate every other field,
-    given for an inverse-scalar user the r behind its stored partial key.  The
-    record is accepted only if it is exactly what ``keyring_to_json`` writes
-    for the regenerated keys.
+    except an inverse-scalar user's s_U, which is kept: R_U is rebuilt as
+    r*P from the r = s_U^-1 - h*x that s_U stands for.  The record is
+    accepted only if it is exactly what ``keyring_to_json`` writes for the
+    regenerated keys.
     """
     profile, _, key_bits = keyring_header(record)
     try:
@@ -320,12 +314,13 @@ def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, di
             if fam == "xcq11":
                 user = xcq11_user_keys(params, identity, xcq11_extract_partial(params, msk, identity), x_u)
             elif fam == "xcl12":
-                # r = s_U^-1 - h*x; r*P gives back the stored R_U only if R_U was r*P
+                # r = s_U^-1 - h*x; r*P gives back the stored R_U only if R_U was r*P,
+                # and keygen never issues r = 0, whose R_U = O would fit as well
                 s_u = backend.scalar_from_bytes(bytes.fromhex(rec["partial_s"]))
                 r_point = backend.g1_from_bytes(bytes.fromhex(rec["partial_r"]))
                 r = s_u.inverse() - binding_hash(params, identity, r_point) * x
-                partial = xcl12_partial_key(params, msk, identity, r)
-                user = None if partial is None else Xcl12UserKeys(identity, partial, x_u, x_u * backend.P)
+                partial = Xcl12PartialKey(s_u, r * backend.P)
+                user = None if r.is_zero() else Xcl12UserKeys(identity, partial, x_u, x_u * backend.P)
             else:
                 raise EncodingError(f"unknown keyring protocol {fam!r}")
             users[identity] = user

@@ -197,8 +197,9 @@ class OpCounter:
         return {k: other.as_dict()[k] - v for k, v in self.as_dict().items()}
 
 
-#: the counter of the innermost open ``metered`` block, if any
-_meter: Optional[OpCounter] = None
+#: the counter of the innermost open ``metered`` block; outside every
+#: block, a discarding counter that nothing reads
+_meter = OpCounter()
 
 
 @contextlib.contextmanager
@@ -207,11 +208,11 @@ def metered(counter: Optional[OpCounter]):
 
     Counted are G1 additions and subtractions, G1 scalar multiplications and
     G2 exponentiations, at the element operators and ``g1_lincomb``, and
-    each ``pair`` call.  A nested block counts toward its own counter only (``None``: nowhere); the
-    outer one resumes when it exits.
+    each ``pair`` call.  A nested block counts toward its own counter only
+    (``None``: a fresh discarding one); the outer one resumes when it exits.
     """
     global _meter
-    outer, _meter = _meter, counter
+    outer, _meter = _meter, OpCounter() if counter is None else counter
     try:
         yield
     finally:
@@ -253,14 +254,12 @@ class G1Point(_Element):
 
     def __add__(self, other):
         other = self._peer(other)
-        if _meter is not None:
-            _meter.point_adds += 1
+        _meter.point_adds += 1
         return G1Point(self.backend, self.backend._g1_add(self.data, other.data))
 
     def __sub__(self, other):
         other = self._peer(other)
-        if _meter is not None:
-            _meter.point_adds += 1
+        _meter.point_adds += 1
         return G1Point(self.backend, self.backend._g1_add(self.data, self.backend._g1_neg(other.data)))
 
     def __neg__(self):
@@ -270,8 +269,7 @@ class G1Point(_Element):
         k = _scalar_value(self, k)
         if k is None:
             return NotImplemented
-        if _meter is not None:
-            _meter.scalar_muls += 1
+        _meter.scalar_muls += 1
         return G1Point(self.backend, self.backend._g1_mul(k, self))
 
     __mul__ = _scale
@@ -314,8 +312,7 @@ class G2Elem(_Element):
         k = _scalar_value(self, k)
         if k is None:
             return NotImplemented
-        if _meter is not None:
-            _meter.g2_exps += 1
+        _meter.g2_exps += 1
         return G2Elem(self.backend, self.backend._g2_pow(k, self))
 
     def is_identity(self) -> bool:
@@ -419,9 +416,8 @@ class PairingBackend:
             values.append((k, a))
         if not values:
             raise ClakaError(shape)
-        if _meter is not None:
-            _meter.scalar_muls += len(values)
-            _meter.point_adds += len(values) - 1
+        _meter.scalar_muls += len(values)
+        _meter.point_adds += len(values) - 1
         return G1Point(self, self._g1_lincomb(values))
 
     def fixed_base(self, point, teeth: int):
@@ -438,8 +434,7 @@ class PairingBackend:
             raise BackendMismatchError("pairing arguments must be G1 points")
         if u.backend is not self or v.backend is not self:
             raise BackendMismatchError("pairing arguments belong to a different backend")
-        if _meter is not None:
-            _meter.pairings += 1
+        _meter.pairings += 1
 
 
 class TransparentBackend(PairingBackend):
@@ -672,8 +667,8 @@ class SupersingularBackend(PairingBackend):
                     steps.append(b)
         return steps[1:]  # T = O needs no first doubling
 
-    def _naf_steps(self, digits, odd, *more):
-        return self._chain_steps([self._naf_chain(*chain) for chain in ((digits, odd), *more)])
+    def _naf_steps(self, digits, odd):
+        return self._chain_steps([self._naf_chain(digits, odd)])
 
     def _q_walk(self, a, at=None):
         # the Miller loop's walk over the width-2 NAF of q: T ends at q*a,

@@ -278,6 +278,14 @@ def test_invalid_combinations_rejected():
         attacks.make_live_adversary("fs", None, None, None, None)
 
 
+def test_an_abort_fails_the_attack_even_where_every_other_key_matches():
+    # an aborted party's key is None, which no derived key equals
+    key = bytes(32)
+    outcome = attacks.judge_outcome(attacks.AdversaryResult(key), {b"alice": key, b"bob": None}, (b"bob",))
+    assert not outcome.success
+    assert outcome.failure == "honest parties aborted (signature rejected)"
+
+
 # -- determinism -----------------------------------------------------------------
 
 

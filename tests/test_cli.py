@@ -5,8 +5,9 @@ import json
 import pytest
 
 from clakalab import cli, harness, wire
+from clakalab.errors import EncodingError
 from clakalab.keyinfra import identity_hash, setup
-from clakalab.pairing import get_backend
+from clakalab.pairing import OpCounter, get_backend, metered
 
 
 def run_cli(*argv):
@@ -229,6 +230,23 @@ def test_malformed_keyring_is_io_error(tmp_path, capsys, case):
     _assert_keyring_rejected(tmp_path, capsys, "xcq11", MALFORMED_KEYRINGS[case])
 
 
+#: xcl12 users whose stored partial key is not the one the KGC issued: the
+#: loader keeps the stored s_U, so R_U = r*P and the record comparison catch them
+MALFORMED_XCL12_KEYRINGS = {
+    "partial-r-of-another-user": lambda ring: _with_first_user(ring, partial_r=ring["users"][1]["partial_r"]),
+    # the binding hash covers the identity, so the second user's whole partial key does not fit the first
+    "partial-key-of-another-user": lambda ring: _with_first_user(
+        ring, partial_s=ring["users"][1]["partial_s"], partial_r=ring["users"][1]["partial_r"]
+    ),
+    "partial-s-zero": lambda ring: _with_first_user(ring, partial_s="0" * len(ring["users"][0]["partial_s"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_XCL12_KEYRINGS))
+def test_malformed_xcl12_keyring_is_io_error(tmp_path, capsys, case):
+    _assert_keyring_rejected(tmp_path, capsys, "xcl12", MALFORMED_XCL12_KEYRINGS[case])
+
+
 @pytest.mark.parametrize("protocol", ["xcq11", "xcl12"])
 def test_keyring_with_another_users_secret_value_is_io_error(tmp_path, capsys, protocol):
     # every part still decodes and every partial key verifies
@@ -269,6 +287,24 @@ def test_report_whose_keyring_does_not_fit_its_config_is_io_error(tmp_path, caps
     capsys.readouterr()
     assert run_cli(*command, str(report)) == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["300-other-users", "alice-300-more-times"])
+def test_report_whose_keyring_lists_extra_users_is_refused_before_any_key_is_rebuilt(tmp_path, capsys, extra):
+    keys, report = tmp_path / "keys.json", tmp_path / "run.json"
+    assert run_cli("keygen", "--protocol", "xcq11", "--seed", "4", "--out", str(keys)) == 0
+    assert run_cli("run", "--protocol", "xcq11", "--keys", str(keys), "--out", str(report)) == 0
+    stored = json.loads(report.read_text())
+    users = stored["keyring"]["users"]
+    users += [{**users[0], "id": f"user{i}"} if extra == "300-other-users" else users[0] for i in range(300)]
+    report.write_text(json.dumps(stored))
+    capsys.readouterr()
+    assert run_cli("replay", str(report)) == cli.EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    counter = OpCounter()
+    with pytest.raises(EncodingError), metered(counter):
+        harness.regenerate_report(stored)
+    assert counter == OpCounter()
 
 
 def test_key_file_of_the_other_family_is_usage_error(tmp_path, capsys):

@@ -5,12 +5,12 @@ import json
 
 import pytest
 
-from clakalab import attacks, harness, wire
+from clakalab import attacks, cli, harness, wire
 from clakalab.errors import ClakaError, EncodingError, ScenarioError
 from clakalab.harness import HonestSlotImpersonator, ScenarioConfig
 from clakalab.keyinfra import keyring_to_json
 from clakalab.pairing import G1Point
-from clakalab.session import PROTOCOL_VARIANTS, canonical_identities
+from clakalab.session import PROTOCOL_VARIANTS, SessionKey, canonical_identities
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_VARIANTS)
@@ -215,6 +215,43 @@ def test_config_json_round_trip():
         assert list(stored) == [f.name for f in dataclasses.fields(ScenarioConfig)]
         assert isinstance(stored["identities"], list) and stored["identities"] == list(config.identities)
         assert ScenarioConfig.from_json(json.loads(json.dumps(stored))) == config
+
+
+#: a config whose every field differs from its declared default
+NON_DEFAULT = dict(protocol="xcl12i", profile="t1009", seed=9, identities=("zed", "amy", "kim"), attack="kci-common", key_bits=128)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "protocol"])
+def test_a_stored_config_without_a_field_takes_its_declared_default(name):
+    stored = ScenarioConfig(**NON_DEFAULT).to_json()
+    del stored[name]
+    assert ScenarioConfig.from_json(stored) == ScenarioConfig(**{k: v for k, v in NON_DEFAULT.items() if k != name})
+
+
+def test_the_protocol_argument_stands_in_for_a_stored_config_that_names_none():
+    stored = ScenarioConfig(**NON_DEFAULT).to_json()
+    del stored["protocol"]
+    assert ScenarioConfig.from_json(stored, protocol="xcl12") == ScenarioConfig(**{**NON_DEFAULT, "protocol": "xcl12"})
+    assert ScenarioConfig.from_json({}, protocol="xcq11") == ScenarioConfig(protocol="xcq11")
+    with pytest.raises(EncodingError, match="unknown protocol"):
+        ScenarioConfig.from_json(stored)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_VARIANTS)
+def test_a_session_whose_keys_differ_reports_no_agreement(monkeypatch, capsys, protocol):
+    derive = harness.PartyMachine.derive
+
+    def alice_derives_another_key(self, view):
+        key = derive(self, view)
+        return SessionKey(bytes(len(key.key))) if self.user.identity == b"alice" else key
+
+    monkeypatch.setattr(harness.PartyMachine, "derive", alice_derives_another_key)
+    run = harness.run_honest_session(ScenarioConfig(protocol=protocol, seed=1))
+    assert all(run.keys.values()) and not harness.agreement_holds(run)
+    assert harness.build_run_report(run)["agreement"] is False
+    capsys.readouterr()
+    assert cli.main(["run", "--protocol", protocol, "--seed", "1"]) == cli.EXIT_UNEXPECTED
+    assert "agreement: NO" in capsys.readouterr().out
 
 
 def test_count_operations_report():

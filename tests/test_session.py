@@ -1,11 +1,12 @@
 """Session views: the peers of a party, and derivation by a party outside the view."""
 
+import dataclasses
 import random
 
 import pytest
 
 from clakalab import harness
-from clakalab.errors import MissingTranscriptFieldError
+from clakalab.errors import MissingTranscriptFieldError, ScenarioError
 from clakalab.harness import ScenarioConfig
 from clakalab.session import PROTOCOL_VARIANTS
 
@@ -36,3 +37,11 @@ def test_derive_against_a_view_without_the_party_is_rejected(protocol):
     theirs.view.require_complete()
     with pytest.raises(MissingTranscriptFieldError, match="not in the session view"):
         dave.derive(theirs.view)
+
+
+def test_a_view_with_a_repeated_identity_is_rejected():
+    view = honest_run("xcq11").view
+    alice, _, carol = view.ordered
+    repeated = dataclasses.replace(view, parties=(alice, alice, carol))
+    with pytest.raises(ScenarioError, match="distinct"):
+        repeated.ordered
