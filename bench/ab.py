@@ -16,7 +16,13 @@ Figures per profile and variant: the median ms per session of each side,
 the parent's quartiles, change/parent as a ratio of medians, the share of
 pairs the change won, the median pair ratio for each run order, and each
 side's group operations in one whole session (seed 1, keygen and report
-included), as ``OpCounter`` counts them.
+included), as ``OpCounter`` counts them, beside its field inversions: the
+``pow(v, -1, m)`` calls of the backend module, counted by a stand-in for
+``pow`` put into that module from here.
+
+When t256 is among the profiles, an A/A row measures the parent against a
+second load of itself by the same method: t256 sessions take well under a
+millisecond, and its pair counts stray from even on identical code.
 """
 
 from __future__ import annotations
@@ -109,6 +115,25 @@ def session_ops(tree, profile: str, protocol: str, seed: int) -> dict:
     return total
 
 
+def session_inversions(tree, profile: str, protocol: str, seed: int) -> int:
+    """Field inversions of one whole honest session and its report."""
+    harness, pairing = tree["harness"], tree["pairing"]
+    count = 0
+
+    def counting_pow(base, exp, mod=None):
+        nonlocal count
+        count += exp == -1
+        return pow(base, exp, mod)
+
+    pairing.pow = counting_pow  # module globals come before builtins
+    try:
+        config = harness.ScenarioConfig(protocol=protocol, profile=profile, seed=seed)
+        harness.build_run_report(harness.run_honest_session(config))
+    finally:
+        del pairing.pow
+    return count
+
+
 def quartiles(values) -> list[float]:
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return [q1, q2, q3]
@@ -145,6 +170,9 @@ def compare_sessions(trees, profile: str, rounds: int, batch: int, rng) -> dict:
             "median_pair_ratio_parent_first": by_order["parent"],
             "median_pair_ratio_change_first": by_order["change"],
             "ops_per_session": {side: session_ops(trees[side], profile, protocol, 1) for side in ("parent", "change")},
+            "inversions_per_session": {
+                side: session_inversions(trees[side], profile, protocol, 1) for side in ("parent", "change")
+            },
         }
     parent_all = sum(o["parent_median_ms"] for o in out.values())
     change_all = sum(o["change_median_ms"] for o in out.values())
@@ -164,10 +192,14 @@ def main(argv=None) -> int:
     rng = random.Random(args.seed)
     plans = [plan for plan in PLANS if plan[0] in args.profiles.split(",")]
     with tempfile.TemporaryDirectory() as tmp:
+        parent_src = unpack_revision(args.parent, tmp)
         trees = {
-            "parent": load_tree("clakalab_parent", unpack_revision(args.parent, tmp)),
+            "parent": load_tree("clakalab_parent", parent_src),
             "change": load_tree("clakalab_change", args.change),
         }
+        aa_plans = [plan for plan in plans if plan[0] == "t256"]
+        if aa_plans:  # the A/A row's "change" is a second load of the parent tree
+            trees["parent_again"] = load_tree("clakalab_parent_again", parent_src)
         for tree in trees.values():  # backends and P's comb are built once per process
             for profile, _, _ in plans:
                 session_sample(tree, profile, "xcq11", [0])
@@ -186,6 +218,9 @@ def main(argv=None) -> int:
             },
             "sessions": {profile: compare_sessions(trees, profile, rounds, batch, rng) for profile, rounds, batch in plans},
         }
+        if aa_plans:
+            twin = {"parent": trees["parent"], "change": trees["parent_again"]}
+            result["aa_sessions"] = {p: compare_sessions(twin, p, rounds, batch, rng) for p, rounds, batch in aa_plans}
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -11,6 +11,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -58,7 +59,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the JSON report/record to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse costs a small share of a build."""
     parser = argparse.ArgumentParser(prog="clakalab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

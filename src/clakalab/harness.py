@@ -111,25 +111,22 @@ def materialize(config: ScenarioConfig, keyring: Optional[Mapping] = None) -> Wo
     if keyring is not None:
         # the header is checked before any key is rebuilt; as sorted lists,
         # the identities refuse a repeated or extra user
-        profile, identities, key_bits = keyinfra.keyring_header(keyring)
+        header = profile, identities, key_bits = keyinfra.keyring_header(keyring)
         if profile != config.profile:
             raise ScenarioError("key file profile does not match the scenario profile")
         if sorted(identities) != sorted(config.identities):
             raise ScenarioError("key file identities do not match the scenario identities")
         if key_bits != config.key_bits:
             raise ScenarioError("key file key_bits does not match the scenario key_bits")
-        ring_fam, params, msk, users = keyinfra.keyring_from_json(keyring)
+        ring_fam, params, msk, users = keyinfra.keyring_from_json(keyring, header)
         if ring_fam != fam:
             raise ScenarioError(f"key file holds {ring_fam!r} material, not {fam!r}")
         return World(config, params.backend, params, msk, users, keyring=dict(keyring))
     backend = get_backend(config.profile)
     params, msk = setup(backend, rng_for(config.seed, "setup"), config.key_bits)
     ids = canonical_identities(tuple(i.encode("utf-8") for i in config.identities))
-    users = {
-        identity: keyinfra.make_user(fam, params, msk, identity, rng_for(config.seed, "user", identity.decode()))
-        for identity in ids
-    }
-    return World(config, backend, params, msk, users)
+    rngs = {identity: rng_for(config.seed, "user", identity.decode()) for identity in ids}
+    return World(config, backend, params, msk, keyinfra.make_user(fam, params, msk, rngs))
 
 
 _PHASES = ("init", "announced", "flows-sent", "derived", "aborted")

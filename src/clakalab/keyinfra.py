@@ -152,9 +152,15 @@ class Xcq11UserKeys:
     full_key: G1Point  # S_U
 
 
+def xcq11_extract_partials(params: SystemParams, msk: MasterKey, identities) -> dict:
+    """s_U = (x + q_U)^-1 * P for each identity, with one inversion.  Deterministic given the master key."""
+    denoms = [msk.x + identity_hash(params, identity) for identity in identities]
+    inverses = params.backend.inverses(denoms)
+    return {identity: Xcq11PartialKey(inv * params.backend.P) for identity, inv in zip(identities, inverses)}
+
+
 def xcq11_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes) -> Xcq11PartialKey:
-    """s_U = (x + q_U)^-1 * P.  Deterministic given the master key."""
-    return Xcq11PartialKey((msk.x + identity_hash(params, identity)).inverse() * params.backend.P)
+    return xcq11_extract_partials(params, msk, [identity])[identity]
 
 
 def xcq11_verify_partial(params: SystemParams, identity: bytes, partial: Xcq11PartialKey) -> bool:
@@ -163,25 +169,36 @@ def xcq11_verify_partial(params: SystemParams, identity: bytes, partial: Xcq11Pa
     return backend.pair(partial.s_u, identity_point(params, identity)) == backend.g
 
 
-def xcq11_user_keygen(params: SystemParams, identity: bytes, partial: Xcq11PartialKey, rng) -> Xcq11UserKeys:
-    """Pick the secret value and fold it into the full private key.
+def xcq11_public_key(params: SystemParams, identity: bytes, x_u: Scalar) -> tuple:
+    """(x_U, upk_U, shift): upk_U = x_U * Q_U and the shift x_U + H2(upk_U) that S_U inverts."""
+    upk = params.backend.g1_lincomb(identity_terms(params, identity, x_u))
+    return x_u, upk, x_u + public_key_hash(params, upk)
 
-    Resamples x_U whenever x_U + H2(upk_U) lands on zero, so the combined
-    public point upk_U + H2(upk_U) * Q_U is never the identity.
+
+def xcq11_draw_secret(params: SystemParams, identity: bytes, rng) -> tuple:
+    """``xcq11_public_key`` of a drawn x_U, drawn again while the shift is zero.
+
+    So the combined public point upk_U + H2(upk_U) * Q_U is never the identity.
     """
     while True:
-        user = xcq11_user_keys(params, identity, partial, params.backend.random_scalar(rng))
-        if user is not None:
-            return user
+        secret = xcq11_public_key(params, identity, params.backend.random_scalar(rng))
+        if not secret[2].is_zero():
+            return secret
 
 
-def xcq11_user_keys(params: SystemParams, identity: bytes, partial: Xcq11PartialKey, x_u: Scalar):
-    """upk_U = x_U * Q_U and S_U = (x_U + H2(upk_U))^-1 * s_U; ``None`` if that shift is zero."""
-    upk = params.backend.g1_lincomb(identity_terms(params, identity, x_u))
-    shift = x_u + public_key_hash(params, upk)
-    if shift.is_zero():
-        return None
-    return Xcq11UserKeys(identity, partial, x_u, upk, shift.inverse() * partial.s_u)
+def xcq11_full_keys(params: SystemParams, partials: dict, secrets: dict) -> dict:
+    """S_U = (x_U + H2(upk_U))^-1 * s_U for each identity's nonzero ``xcq11_public_key``, with one inversion."""
+    inverses = params.backend.inverses([shift for _, _, shift in secrets.values()])
+    return {
+        identity: Xcq11UserKeys(identity, partials[identity], x_u, upk, inv * partials[identity].s_u)
+        for (identity, (x_u, upk, _)), inv in zip(secrets.items(), inverses)
+    }
+
+
+def xcq11_user_keygen(params: SystemParams, identity: bytes, partial: Xcq11PartialKey, rng) -> Xcq11UserKeys:
+    """Pick the secret value and fold it into the full private key."""
+    secret = xcq11_draw_secret(params, identity, rng)
+    return xcq11_full_keys(params, {identity: partial}, {identity: secret})[identity]
 
 
 # -- inverse-scalar pipeline ------------------------------------------------------
@@ -201,14 +218,20 @@ class Xcl12UserKeys:
     upk: G1Point
 
 
-def xcl12_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes, rng) -> Xcl12PartialKey:
-    """Pick r_U, publish R_U = r_U * P, issue s_U = (r_U + h*x)^-1; draw again if r_U or that denominator is zero."""
+def xcl12_draw_partial(params: SystemParams, msk: MasterKey, identity: bytes, rng) -> tuple:
+    """Pick r_U and publish R_U = r_U * P; draw again if r_U or r_U + h*x is zero.  (R_U, r_U + h*x)."""
     while True:
         r = params.backend.random_scalar(rng)
         r_point = r * params.backend.P
         denom = r + binding_hash(params, identity, r_point) * msk.x
         if not (r.is_zero() or denom.is_zero()):
-            return Xcl12PartialKey(denom.inverse(), r_point)
+            return r_point, denom
+
+
+def xcl12_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes, rng) -> Xcl12PartialKey:
+    """Issue s_U = (r_U + h*x)^-1 for a drawn R_U."""
+    r_point, denom = xcl12_draw_partial(params, msk, identity, rng)
+    return Xcl12PartialKey(denom.inverse(), r_point)
 
 
 def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12PartialKey) -> bool:
@@ -226,17 +249,33 @@ def xcl12_user_keygen(params: SystemParams, identity: bytes, partial: Xcl12Parti
     return Xcl12UserKeys(identity, partial, x_u, x_u * params.backend.P)
 
 
-def make_user(family: str, params: SystemParams, msk: MasterKey, identity: bytes, rng):
-    """Run one pipeline end to end, checking the partial key on receipt."""
+def make_user(family: str, params: SystemParams, msk: MasterKey, rngs: Mapping) -> dict:
+    """Run one pipeline for every user of a world, identity -> rng; check each partial key on receipt.
+
+    Each user makes all its draws, resamples included, before the next user
+    starts, as a run of the pipeline per user would; only the inversions
+    wait.  So a world makes one per pass: the KGC's denominators, then, for
+    xcq11, the users' shifts.
+    """
+    backend = params.backend
     if family == "xcq11":
-        partial, verify, keygen = xcq11_extract_partial(params, msk, identity), xcq11_verify_partial, xcq11_user_keygen
+        partials = xcq11_extract_partials(params, msk, list(rngs))
+        secrets = {identity: xcq11_draw_secret(params, identity, rng) for identity, rng in rngs.items()}
+        users, verify = xcq11_full_keys(params, partials, secrets), xcq11_verify_partial
     elif family == "xcl12":
-        partial, verify, keygen = xcl12_extract_partial(params, msk, identity, rng), xcl12_verify_partial, xcl12_user_keygen
+        # r_U before x_U, user by user
+        draws = {i: (*xcl12_draw_partial(params, msk, i, rng), backend.random_scalar(rng)) for i, rng in rngs.items()}
+        inverses = backend.inverses([denom for _, denom, _ in draws.values()])
+        users = {
+            identity: Xcl12UserKeys(identity, Xcl12PartialKey(inv, r_point), x_u, x_u * backend.P)
+            for (identity, (r_point, _, x_u)), inv in zip(draws.items(), inverses)
+        }
+        verify = xcl12_verify_partial
     else:
         raise ScenarioError(f"unknown key pipeline {family!r}")
-    if not verify(params, identity, partial):
+    if not all(verify(params, identity, user.partial) for identity, user in users.items()):
         raise DegenerateScalarError("freshly extracted partial key failed verification")
-    return keygen(params, identity, partial, rng)
+    return users
 
 
 # -- key material import/export ------------------------------------------------
@@ -292,39 +331,43 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
     return profile, tuple(u["id"] for u in users), key_bits
 
 
-def keyring_from_json(record: Mapping) -> tuple[str, SystemParams, MasterKey, dict]:
-    """Rebuild key material from a keyring record.
+def keyring_from_json(record: Mapping, header: Optional[tuple] = None) -> tuple[str, SystemParams, MasterKey, dict]:
+    """Rebuild key material from a keyring record whose ``keyring_header`` is ``header``.
 
     The KGC key x and each user's secret value regenerate every other field,
     except an inverse-scalar user's s_U, which is kept: R_U is rebuilt as
-    r*P from the r = s_U^-1 - h*x that s_U stands for.  The record is
-    accepted only if it is exactly what ``keyring_to_json`` writes for the
-    regenerated keys.
+    r*P from the r = s_U^-1 - h*x that s_U stands for.  Inversions are made
+    in the same passes as in ``make_user``.  The record is accepted only if
+    it is exactly what ``keyring_to_json`` writes for the regenerated keys.
     """
-    profile, _, key_bits = keyring_header(record)
+    profile, _, key_bits = keyring_header(record) if header is None else header
     try:
         fam = record["protocol"]
         backend = get_backend(profile)
         x = backend.scalar_from_bytes(bytes.fromhex(record["kgc"]["x"]))
         params, msk = master_params(backend, x, key_bits), MasterKey(x)
-        users = {}
-        for rec in record["users"]:
-            identity = rec["id"].encode("utf-8")
-            x_u = backend.scalar_from_bytes(bytes.fromhex(rec["x"]))
-            if fam == "xcq11":
-                user = xcq11_user_keys(params, identity, xcq11_extract_partial(params, msk, identity), x_u)
-            elif fam == "xcl12":
-                # r = s_U^-1 - h*x; r*P gives back the stored R_U only if R_U was r*P,
-                # and keygen never issues r = 0, whose R_U = O would fit as well
-                s_u = backend.scalar_from_bytes(bytes.fromhex(rec["partial_s"]))
-                r_point = backend.g1_from_bytes(bytes.fromhex(rec["partial_r"]))
-                r = s_u.inverse() - binding_hash(params, identity, r_point) * x
-                partial = Xcl12PartialKey(s_u, r * backend.P)
-                user = None if r.is_zero() else Xcl12UserKeys(identity, partial, x_u, x_u * backend.P)
-            else:
-                raise EncodingError(f"unknown keyring protocol {fam!r}")
-            users[identity] = user
-        if None in users.values() or keyring_to_json(fam, params, msk, users.values()) != record:
+        records = {rec["id"].encode("utf-8"): rec for rec in record["users"]}
+        secrets = {identity: backend.scalar_from_bytes(bytes.fromhex(rec["x"])) for identity, rec in records.items()}
+        # a user whose shift or r is zero is left out, so the record is refused
+        if fam == "xcq11":
+            partials = xcq11_extract_partials(params, msk, list(records))
+            secrets = {identity: xcq11_public_key(params, identity, x_u) for identity, x_u in secrets.items()}
+            users = xcq11_full_keys(params, partials, {i: v for i, v in secrets.items() if not v[2].is_zero()})
+        elif fam == "xcl12":
+            s_us = [backend.scalar_from_bytes(bytes.fromhex(rec["partial_s"])) for rec in records.values()]
+            r_points = [backend.g1_from_bytes(bytes.fromhex(rec["partial_r"])) for rec in records.values()]
+            # r = s_U^-1 - h*x; r*P gives back the stored R_U only if R_U was r*P,
+            # and keygen never issues r = 0, whose R_U = O would fit as well
+            inverses = backend.inverses(s_us)
+            rs = [inv - binding_hash(params, i, r_point) * x for i, r_point, inv in zip(records, r_points, inverses)]
+            users = {
+                identity: Xcl12UserKeys(identity, Xcl12PartialKey(s_u, r * backend.P), x_u, x_u * backend.P)
+                for (identity, x_u), s_u, r in zip(secrets.items(), s_us, rs)
+                if not r.is_zero()
+            }
+        else:
+            raise EncodingError(f"unknown keyring protocol {fam!r}")
+        if keyring_to_json(fam, params, msk, users.values()) != record:
             raise EncodingError("keyring record is not the one its secret keys regenerate")
         return fam, params, msk, users
     except DegenerateScalarError as exc:

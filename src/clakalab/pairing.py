@@ -105,6 +105,23 @@ def _scalar_value(owner, k) -> Optional[int]:
     return None
 
 
+def _inverses_mod(values: list[int], m: int) -> list[int]:
+    """The inverses mod m of nonzero ``values`` with one ``pow``: Montgomery's trick (Math. Comp. 48, 1987).
+
+    The product of all values is inverted once, and each inverse is peeled
+    off it from the last value back, using the prefix products.
+    """
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % m)
+    inv, out = pow(prefix[-1], -1, m), []
+    for v, before in zip(reversed(values), reversed(prefix[:-1])):
+        out.append(inv * before % m)
+        inv = inv * v % m
+    out.reverse()
+    return out
+
+
 def _naf(k: int, w: int) -> list[int]:
     """The width-``w`` non-adjacent form of ``k`` > 0, top digit first.
 
@@ -173,9 +190,7 @@ class Scalar:
         return self.value == 0
 
     def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise DegenerateScalarError("scalar 0 has no inverse")
-        return Scalar(self.backend, pow(self.value, -1, self.backend.q))
+        return self.backend.inverses([self])[0]
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.backend.scalar_width, "big")
@@ -362,6 +377,12 @@ class PairingBackend:
     def random_scalar(self, rng) -> Scalar:
         return Scalar(self, rng.randrange(1, self.q))
 
+    def inverses(self, scalars) -> list[Scalar]:
+        """The inverses of ``scalars``, with one inversion mod q for the whole list."""
+        if any(k.value == 0 for k in scalars):
+            raise DegenerateScalarError("scalar 0 has no inverse")
+        return [Scalar(self, v) for v in _inverses_mod([k.value for k in scalars], self.q)]
+
     def scalar_from_bytes(self, raw: bytes) -> Scalar:
         return Scalar(self, self._residue(raw, "scalar"))
 
@@ -376,12 +397,15 @@ class PairingBackend:
 
     # -- hashing ------------------------------------------------------------
 
+    @functools.lru_cache(maxsize=256)
     def hash_to_scalar(self, tag: bytes, data: bytes) -> Scalar:
         """Hash arbitrary bytes into Z_q^* (never zero).
 
         The digest is reduced mod q-1 and shifted by one, so the output is
         uniform enough for protocol work over [1, q-1]; the small bias is
         irrelevant here.  Distinct tags give independent functions.
+        Memoized per backend, tag and data: a world hashes each identity and
+        public key in keygen and again in every session.
         """
         width = self.scalar_width + 16
         digest = hashlib.shake_256(_H2S_PREFIX + encode_parts([tag, data])).digest(width)
@@ -676,24 +700,12 @@ class SupersingularBackend(PairingBackend):
         return self._ladder(self._naf_steps(self._q_naf, (a,)), at)
 
     def _to_affine(self, points):
-        # Jacobian points to affine ones (None for O) with one inversion, by
-        # Montgomery's trick: invert the product of all nonzero Z, then peel
-        # each 1/Z off it from the last point back, using the prefix products
+        # Jacobian points to affine ones (None for O), with one inversion of all nonzero Z
         p = self.p
-        prefix = [1]
-        for _, _, Z in points:
-            prefix.append(prefix[-1] * (Z or 1) % p)
-        inv = pow(prefix[-1], -1, p)
         out = []
-        for (X, Y, Z), before in zip(reversed(points), reversed(prefix[:-1])):
-            if not Z:
-                out.append(None)
-                continue
-            z_inv = inv * before % p
-            inv = inv * Z % p
+        for (X, Y, Z), z_inv in zip(points, _inverses_mod([Z or 1 for _, _, Z in points], p)):
             z_inv2 = z_inv * z_inv % p
-            out.append((X * z_inv2 % p, Y * z_inv2 * z_inv % p))
-        out.reverse()
+            out.append((X * z_inv2 % p, Y * z_inv2 * z_inv % p) if Z else None)
         return out
 
     def _comb_table(self, a=None, teeth=_COMB_TEETH):

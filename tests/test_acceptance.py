@@ -215,7 +215,7 @@ def test_criterion_7_signature_suite():
     backend = get_backend("t256")
     rng = random.Random(7)
     params, msk = setup(backend, rng)
-    user = keyinfra.make_user("xcq11", params, msk, b"signer", rng)
+    user = keyinfra.make_user("xcq11", params, msk, {b"signer": rng})[b"signer"]
 
     honest_ok = 0
     signatures = []

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from clakalab import cli, harness, wire
+from clakalab import cli, harness, keyinfra, wire
 from clakalab.errors import EncodingError
 from clakalab.keyinfra import identity_hash, setup
 from clakalab.pairing import OpCounter, get_backend, metered
@@ -350,3 +350,31 @@ def test_keyring_with_an_integer_past_the_digit_limit_is_io_error(tmp_path, caps
     capsys.readouterr()
     assert run_cli("run", "--protocol", "xcq11", "--keys", str(keys)) == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["xcq11i", "xcl12i"])
+def test_a_key_file_run_reads_the_keyring_header_once_per_check(tmp_path, monkeypatch, protocol):
+    # run --keys reads it to configure the scenario and materialize to check
+    # it; keyring_from_json takes the one materialize checked
+    keys, report = tmp_path / "keys.json", tmp_path / "run.json"
+    assert run_cli("keygen", "--protocol", protocol[:-1], "--seed", "4", "--out", str(keys)) == 0
+    headers = []
+    header = keyinfra.keyring_header
+    monkeypatch.setattr(keyinfra, "keyring_header", lambda record: headers.append(record) or header(record))
+    assert run_cli("run", "--protocol", protocol, "--keys", str(keys), "--out", str(report)) == 0
+    assert len(headers) == 2
+    headers.clear()
+    assert run_cli("replay", str(report)) == 0
+    assert len(headers) == 1
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli("run", "--protocol", "nope") == cli.EXIT_USAGE
+    assert run_cli("run", "--protocol", "xcq11", "--seed", "3", "--verbose") == cli.EXIT_OK
+    verbose = capsys.readouterr().out
+    assert run_cli("run", "--protocol", "xcq11", "--seed", "3") == cli.EXIT_OK
+    plain = capsys.readouterr().out
+    # the second run takes no --verbose from the first: its key digests and verdict only
+    assert len(plain.splitlines()) == 4
+    assert verbose.endswith(plain) and len(verbose) > len(plain)

@@ -14,7 +14,7 @@ def world():
     backend = get_backend("t256")
     rng = random.Random(42)
     params, msk = setup(backend, rng)
-    users = {i: make_user("xcq11", params, msk, i, rng) for i in (b"alice", b"bob")}
+    users = make_user("xcq11", params, msk, dict.fromkeys((b"alice", b"bob"), rng))
     return backend, params, users
 
 
@@ -33,7 +33,7 @@ def test_completeness(world, rng):
 
 def test_completeness_crypto_backend(c160, rng):
     params, msk = setup(c160, rng)
-    user = make_user("xcq11", params, msk, b"alice", rng)
+    user = make_user("xcq11", params, msk, {b"alice": rng})[b"alice"]
     for i in range(5):
         message = f"m{i}".encode()
         sig = _sign(params, user, message, rng)
@@ -47,7 +47,7 @@ def test_commitment_is_the_pairing_it_replaces(profile):
     backend = get_backend(profile)
     rng = random.Random(f"commitment/{profile}")
     params, msk = setup(backend, rng)
-    user = make_user("xcq11", params, msk, b"alice", rng)
+    user = make_user("xcq11", params, msk, {b"alice": rng})[b"alice"]
     public_point = combined_public(params, user.identity, user.upk)
     for i in range(3):
         clone = random.Random()
@@ -67,7 +67,7 @@ def test_commitment_is_the_pairing_it_replaces(profile):
 def test_response_log_oracle(rng):
     backend = get_backend("t1009")
     params, msk = setup(backend, random.Random(8))
-    user = make_user("xcq11", params, msk, b"alice", rng)
+    user = make_user("xcq11", params, msk, {b"alice": rng})[b"alice"]
     public_point = combined_public(params, user.identity, user.upk)
     sig = _sign(params, user, b"oracle", rng)
     q = backend.q

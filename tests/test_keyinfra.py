@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from clakalab import harness, keyinfra
+from clakalab import harness, keyinfra, pairing
 from clakalab.errors import DegenerateScalarError, EncodingError
 from clakalab.keyinfra import (
     Xcl12PartialKey,
@@ -27,6 +27,7 @@ from clakalab.keyinfra import (
     xcq11_verify_partial,
 )
 from clakalab.pairing import FixedBase, G1Point, OpCounter, SupersingularBackend, get_backend, metered
+from clakalab.session import family
 
 
 def make_params(backend, seed=11):
@@ -222,7 +223,7 @@ def test_xcl12_user_keys(t256, rng):
 def test_keyring_round_trip(fam, t256):
     params, msk = make_params(t256)
     rng = random.Random(99)
-    users = [keyinfra.make_user(fam, params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
+    users = list(keyinfra.make_user(fam, params, msk, dict.fromkeys((b"alice", b"bob", b"carol"), rng)).values())
     record = keyring_to_json(fam, params, msk, users)
     # survives a JSON round trip byte-for-byte
     record = json.loads(json.dumps(record))
@@ -244,7 +245,7 @@ def test_keyring_round_trip(fam, t256):
 def test_g0_is_the_pairing_of_p_and_p0(profile, fam):
     backend = get_backend(profile)
     params, msk = make_params(backend)
-    users = [keyinfra.make_user(fam, params, msk, i, random.Random(6)) for i in (b"alice", b"bob")]
+    users = list(keyinfra.make_user(fam, params, msk, {i: random.Random(6) for i in (b"alice", b"bob")}).values())
     loaded = keyring_from_json(json.loads(json.dumps(keyring_to_json(fam, params, msk, users))))[1]
     for p in (params, loaded):
         assert p.g0 == backend.pair(backend.P, p.p0)
@@ -254,7 +255,7 @@ def test_g0_is_the_pairing_of_p_and_p0(profile, fam):
 def test_keyring_load_takes_no_pairing_and_no_strict_decode(c160, monkeypatch, fam, muls, adds):
     params, msk = make_params(c160)
     rng = random.Random(3)
-    users = [keyinfra.make_user(fam, params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
+    users = list(keyinfra.make_user(fam, params, msk, dict.fromkeys((b"alice", b"bob", b"carol"), rng)).values())
     record = json.loads(json.dumps(keyring_to_json(fam, params, msk, users)))
     strict_flags = []
     decode = SupersingularBackend.g1_from_bytes
@@ -283,7 +284,7 @@ def test_keyring_rejects_garbage():
 def test_keyring_rejects_invalid_partial(t256):
     params, msk = make_params(t256)
     rng = random.Random(1)
-    users = [keyinfra.make_user("xcq11", params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
+    users = list(keyinfra.make_user("xcq11", params, msk, dict.fromkeys((b"alice", b"bob", b"carol"), rng)).values())
     record = keyring_to_json("xcq11", params, msk, users)
     record["users"][0]["partial"] = (t256.scalar(5) * t256.P).to_bytes().hex()
     with pytest.raises(EncodingError):
@@ -294,7 +295,7 @@ def test_keyring_rejects_xcl12_partial_key_with_zero_r(t256):
     # R_U = O and s_U = (H1(ID_U || O) * x)^-1 verify, but keygen draws r from [1, q-1]
     params, msk = make_params(t256)
     rng = random.Random(1)
-    users = [keyinfra.make_user("xcl12", params, msk, i, rng) for i in (b"alice", b"bob", b"carol")]
+    users = list(keyinfra.make_user("xcl12", params, msk, dict.fromkeys((b"alice", b"bob", b"carol"), rng)).values())
     record = keyring_to_json("xcl12", params, msk, users)
     origin = t256.g1_identity()
     partial = Xcl12PartialKey((keyinfra.binding_hash(params, b"alice", origin) * msk.x).inverse(), origin)
@@ -302,3 +303,105 @@ def test_keyring_rejects_xcl12_partial_key_with_zero_r(t256):
     record["users"][0].update(partial_s=partial.s_u.to_bytes().hex(), partial_r=partial.r_u.to_bytes().hex())
     with pytest.raises(EncodingError):
         keyring_from_json(record)
+
+
+# -- one inversion per pass ----------------------------------------------------------
+
+
+def _count_inversions(monkeypatch):
+    """Exponents of every ``pow`` call made in ``clakalab.pairing`` from now on."""
+    exponents = []
+
+    def counting(base, exp, mod=None):
+        exponents.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(pairing, "pow", counting, raising=False)
+    return exponents
+
+
+@pytest.mark.parametrize("protocol, inversions", [("xcq11", 2), ("xcq11i", 2), ("xcl12", 1), ("xcl12i", 1)])
+def test_a_t256_world_and_its_keyring_load_make_one_inversion_per_pass(monkeypatch, protocol, inversions):
+    # xcq11: the KGC's three denominators x + q_U, then the three shifts x_U + H2(upk_U);
+    # xcl12: the three denominators r_U + h*x, and on load the three stored s_U
+    exponents = _count_inversions(monkeypatch)
+    world = harness.materialize(harness.ScenarioConfig(protocol=protocol, profile="t256", seed=5))
+    assert exponents.count(-1) == inversions
+    record = json.loads(json.dumps(keyring_to_json(family(protocol), world.params, world.msk, world.users.values())))
+    exponents.clear()
+    _, _, _, users = keyring_from_json(record)
+    assert exponents.count(-1) == inversions
+    assert users == world.users
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+IDS = (b"alice", b"bob", b"carol")
+
+#: t1009 worlds built on one rng shared by setup and every user, as
+#: tests/test_xcq11.py and tests/test_xcl12.py build theirs, in which one
+#: user draws again (an xcq11 shift or an xcl12 denominator came out zero):
+#: the KGC key and each user's keyring record, taken from the pipeline run
+#: user by user, before any inversion was deferred
+RESAMPLED_WORLDS = {
+    ("xcq11", 136): (
+        "024e",
+        [
+            ("alice", "01b8", "0317", "0167", "0232"),
+            ("bob", "021d", "01c4", "01f3", "0095"),
+            ("carol", "01bc", "00fd", "0250", "0303"),
+        ],
+    ),
+    ("xcq11", 237): (
+        "027e",
+        [
+            ("alice", "01fb", "021f", "0076", "0112"),
+            ("bob", "039f", "02f5", "02a9", "01af"),
+            ("carol", "03e2", "0104", "0123", "000f"),
+        ],
+    ),
+    ("xcl12", 97): (
+        "00c8",
+        [
+            ("alice", "033a", "033a", "0127", "01b8"),
+            ("bob", "03ab", "03ab", "0224", "017d"),
+            ("carol", "0330", "0330", "026b", "0345"),
+        ],
+    ),
+    ("xcl12", 224): (
+        "0042",
+        [
+            ("alice", "01dc", "01dc", "026b", "00c3"),
+            ("bob", "0225", "0225", "0023", "004f"),
+            ("carol", "00e9", "00e9", "0172", "03e3"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("fam, seed", sorted(RESAMPLED_WORLDS))
+def test_a_world_on_one_rng_is_the_user_by_user_world(t1009, fam, seed):
+    rng = _CountingRandom(seed)
+    params, msk = setup(t1009, rng)
+    users = keyinfra.make_user(fam, params, msk, dict.fromkeys(IDS, rng))
+    # one draw for x, then one per user (xcq11) or two (xcl12), and one more
+    assert rng.draws == 1 + len(IDS) * (1 if fam == "xcq11" else 2) + 1
+    record = keyring_to_json(fam, params, msk, users.values())
+    kgc, pinned = RESAMPLED_WORLDS[fam, seed]
+    assert record["kgc"]["x"] == kgc
+    assert [tuple(rec.values()) for rec in record["users"]] == pinned
+    # the same world from the one-user pipelines, run user by user
+    rng = random.Random(seed)
+    params, msk = setup(t1009, rng)
+    for identity in IDS:
+        if fam == "xcq11":
+            user = xcq11_user_keygen(params, identity, xcq11_extract_partial(params, msk, identity), rng)
+        else:
+            user = xcl12_user_keygen(params, identity, xcl12_extract_partial(params, msk, identity, rng), rng)
+        assert user == users[identity]

@@ -16,6 +16,7 @@ from clakalab.errors import (
 )
 from clakalab.keyinfra import setup
 from clakalab.pairing import (
+    PairingBackend,
     _COFACTOR_160,
     _COMB_TEETH,
     _GENERATOR_SEARCH,
@@ -74,6 +75,32 @@ def test_scalar_field_ops(t1009):
     assert (a.inverse() * a).value == 1
     with pytest.raises(DegenerateScalarError):
         t1009.scalar(0).inverse()
+
+
+@pytest.mark.parametrize("profile", BACKENDS)
+def test_inverses_match_pow_element_by_element(profile):
+    backend = get_backend(profile)
+    q, rng = backend.q, random.Random(profile)
+    for n in range(1, 6):
+        for ends in ((1,), (q - 1,), (1, q - 1)):
+            if len(ends) > n:
+                continue
+            values = [*ends, *(rng.randrange(1, q) for _ in range(n - len(ends)))]
+            rng.shuffle(values)
+            inverses = backend.inverses([backend.scalar(v) for v in values])
+            assert [k.value for k in inverses] == [pow(v, -1, q) for v in values]
+            assert all(k.backend is backend for k in inverses)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_inverses_refuse_a_zero_at_any_position(t256, position):
+    scalars = [t256.scalar(v) for v in (2, 3, t256.q - 1)]
+    scalars.insert(position, t256.scalar(t256.q))
+    with pytest.raises(DegenerateScalarError) as batch:
+        t256.inverses(scalars)
+    with pytest.raises(DegenerateScalarError) as single:
+        t256.scalar(0).inverse()
+    assert str(batch.value) == str(single.value) == "scalar 0 has no inverse"
 
 
 def test_backend_mismatch_rejected(t1009, t256):
@@ -206,6 +233,20 @@ def test_hash_to_scalar_regression_vectors(t1009, t256):
         t256.hash_to_scalar(b"H2", b"regression-input").value
         == 82765596016749509902336968139480053898225230270752885070741225670631631368305
     )
+
+
+@pytest.mark.parametrize("first", ["t1009", "t256"])
+def test_hash_to_scalar_memo_keeps_each_backend_apart(first):
+    # the memo is keyed by backend, tag and data, so whichever backend hashes first
+    # leaves the other its own scalar
+    data = f"memo-{first}".encode()
+    order = [get_backend(first), get_backend("t256" if first == "t1009" else "t1009")]
+    scalars = [b.hash_to_scalar(b"H1", data) for b in order]
+    for backend, k in zip(order, scalars):
+        assert k.backend is backend
+        assert k.value == PairingBackend.hash_to_scalar.__wrapped__(backend, b"H1", data).value
+        assert backend.hash_to_scalar(b"H1", data) is k
+    assert PairingBackend.hash_to_scalar.cache_parameters()["maxsize"] is not None
 
 
 # -- KDF ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ def make_world(profile="t1009", seed=31):
     backend = get_backend(profile)
     rng = random.Random(seed)
     params, msk = setup(backend, rng)
-    users = {i: make_user("xcl12", params, msk, i, rng) for i in IDS}
+    users = make_user("xcl12", params, msk, dict.fromkeys(IDS, rng))
     return backend, params, msk, users
 
 

@@ -23,7 +23,7 @@ def make_world(profile="t1009", seed=21):
     backend = get_backend(profile)
     rng = random.Random(seed)
     params, msk = setup(backend, rng)
-    users = {i: make_user("xcq11", params, msk, i, rng) for i in IDS}
+    users = make_user("xcq11", params, msk, dict.fromkeys(IDS, rng))
     return backend, params, msk, users
 
 
