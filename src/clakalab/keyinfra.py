@@ -159,10 +159,6 @@ def xcq11_extract_partials(params: SystemParams, msk: MasterKey, identities) -> 
     return {identity: Xcq11PartialKey(inv * params.backend.P) for identity, inv in zip(identities, inverses)}
 
 
-def xcq11_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes) -> Xcq11PartialKey:
-    return xcq11_extract_partials(params, msk, [identity])[identity]
-
-
 def xcq11_verify_partial(params: SystemParams, identity: bytes, partial: Xcq11PartialKey) -> bool:
     """Check e(s_U, P0 + q_U * P) == e(P, P)."""
     backend = params.backend
@@ -195,12 +191,6 @@ def xcq11_full_keys(params: SystemParams, partials: dict, secrets: dict) -> dict
     }
 
 
-def xcq11_user_keygen(params: SystemParams, identity: bytes, partial: Xcq11PartialKey, rng) -> Xcq11UserKeys:
-    """Pick the secret value and fold it into the full private key."""
-    secret = xcq11_draw_secret(params, identity, rng)
-    return xcq11_full_keys(params, {identity: partial}, {identity: secret})[identity]
-
-
 # -- inverse-scalar pipeline ------------------------------------------------------
 
 
@@ -228,12 +218,6 @@ def xcl12_draw_partial(params: SystemParams, msk: MasterKey, identity: bytes, rn
             return r_point, denom
 
 
-def xcl12_extract_partial(params: SystemParams, msk: MasterKey, identity: bytes, rng) -> Xcl12PartialKey:
-    """Issue s_U = (r_U + h*x)^-1 for a drawn R_U."""
-    r_point, denom = xcl12_draw_partial(params, msk, identity, rng)
-    return Xcl12PartialKey(denom.inverse(), r_point)
-
-
 def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12PartialKey) -> bool:
     """Check s_U * (R_U + H1(ID_U || R_U) * P0) == P, for s_U != 0.
 
@@ -242,11 +226,6 @@ def xcl12_verify_partial(params: SystemParams, identity: bytes, partial: Xcl12Pa
     """
     s, masked = partial.s_u, masked_base(params, identity, partial.r_u)
     return not s.is_zero() and params.backend.g1_scales_to(s, masked, params.backend.P)
-
-
-def xcl12_user_keygen(params: SystemParams, identity: bytes, partial: Xcl12PartialKey, rng) -> Xcl12UserKeys:
-    x_u = params.backend.random_scalar(rng)
-    return Xcl12UserKeys(identity, partial, x_u, x_u * params.backend.P)
 
 
 def make_user(family: str, params: SystemParams, msk: MasterKey, rngs: Mapping) -> dict:
@@ -331,7 +310,7 @@ def keyring_header(record) -> tuple[str, tuple[str, ...], int]:
     return profile, tuple(u["id"] for u in users), key_bits
 
 
-def keyring_from_json(record: Mapping, header: Optional[tuple] = None) -> tuple[str, SystemParams, MasterKey, dict]:
+def keyring_from_json(record: Mapping, header: tuple) -> tuple[str, SystemParams, MasterKey, dict]:
     """Rebuild key material from a keyring record whose ``keyring_header`` is ``header``.
 
     The KGC key x and each user's secret value regenerate every other field,
@@ -340,7 +319,7 @@ def keyring_from_json(record: Mapping, header: Optional[tuple] = None) -> tuple[
     in the same passes as in ``make_user``.  The record is accepted only if
     it is exactly what ``keyring_to_json`` writes for the regenerated keys.
     """
-    profile, _, key_bits = keyring_header(record) if header is None else header
+    profile, _, key_bits = header
     try:
         fam = record["protocol"]
         backend = get_backend(profile)

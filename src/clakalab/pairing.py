@@ -379,6 +379,8 @@ class PairingBackend:
 
     def inverses(self, scalars) -> list[Scalar]:
         """The inverses of ``scalars``, with one inversion mod q for the whole list."""
+        if any(k.backend is not self for k in scalars):
+            raise BackendMismatchError("scalars to invert belong to a different backend")
         if any(k.value == 0 for k in scalars):
             raise DegenerateScalarError("scalar 0 has no inverse")
         return [Scalar(self, v) for v in _inverses_mod([k.value for k in scalars], self.q)]

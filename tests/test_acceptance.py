@@ -192,11 +192,11 @@ def test_criterion_6_key_material_validation():
     honest_ok = 0
     for i in range(10_000):
         identity = f"u{i}".encode()
-        partial = keyinfra.xcq11_extract_partial(params, msk, identity)
+        partial = keyinfra.xcq11_extract_partials(params, msk, [identity])[identity]
         honest_ok += keyinfra.xcq11_verify_partial(params, identity, partial)
     for i in range(10_000):
         identity = f"v{i}".encode()
-        partial = keyinfra.xcl12_extract_partial(params, msk, identity, rng)
+        partial = keyinfra.make_user("xcl12", params, msk, {identity: rng})[identity].partial
         honest_ok += keyinfra.xcl12_verify_partial(params, identity, partial)
     forged_accepts = 0
     for _ in range(10_000):

@@ -15,15 +15,13 @@ from clakalab.keyinfra import (
     identity_hash,
     identity_point,
     keyring_from_json,
+    keyring_header,
     keyring_to_json,
     masked_base,
     public_key_hash,
     setup,
-    xcl12_extract_partial,
-    xcl12_user_keygen,
     xcl12_verify_partial,
-    xcq11_extract_partial,
-    xcq11_user_keygen,
+    xcq11_extract_partials,
     xcq11_verify_partial,
 )
 from clakalab.pairing import FixedBase, G1Point, OpCounter, SupersingularBackend, get_backend, metered
@@ -90,13 +88,13 @@ def test_transparent_p0_stays_a_plain_point(t256):
 def test_xcq11_partial_verifies(t1009, t256, c160):
     for backend in (t1009, t256, c160):
         params, msk = make_params(backend)
-        partial = xcq11_extract_partial(params, msk, b"alice")
+        partial = xcq11_extract_partials(params, msk, [b"alice"])[b"alice"]
         assert xcq11_verify_partial(params, b"alice", partial)
 
 
 def test_xcq11_partial_log_oracle(t1009):
     params, msk = make_params(t1009)
-    partial = xcq11_extract_partial(params, msk, b"alice")
+    partial = xcq11_extract_partials(params, msk, [b"alice"])[b"alice"]
     q_u = identity_hash(params, b"alice")
     expected = pow((msk.x.value + q_u.value) % t1009.q, -1, t1009.q)
     assert t1009.dlog_g1(partial.s_u) == expected
@@ -104,7 +102,7 @@ def test_xcq11_partial_log_oracle(t1009):
 
 def test_xcq11_extraction_deterministic(t256):
     params, msk = make_params(t256)
-    assert xcq11_extract_partial(params, msk, b"bob") == xcq11_extract_partial(params, msk, b"bob")
+    assert xcq11_extract_partials(params, msk, [b"bob"]) == xcq11_extract_partials(params, msk, [b"bob"])
 
 
 def test_xcq11_forged_partials_rejected(t256, rng):
@@ -127,7 +125,7 @@ def test_xcq11_degenerate_identity_reported(t1009):
         f"u{i}".encode() for i in range(20000) if identity_hash(params, f"u{i}".encode()).value == target
     )
     with pytest.raises(DegenerateScalarError):
-        xcq11_extract_partial(params, msk, identity)
+        xcq11_extract_partials(params, msk, [identity])
 
 
 @pytest.mark.parametrize("profile", ["t1009", "c160"])
@@ -137,13 +135,12 @@ def test_xcq11_master_key_on_the_negated_identity_hash_reported(profile):
     params, _ = make_params(backend)
     msk = keyinfra.MasterKey(backend.scalar(-identity_hash(params, b"alice").value))
     with pytest.raises(DegenerateScalarError):
-        xcq11_extract_partial(params, msk, b"alice")
+        xcq11_extract_partials(params, msk, [b"alice"])
 
 
 def test_xcq11_user_keys(t1009, rng):
     params, msk = make_params(t1009)
-    partial = xcq11_extract_partial(params, msk, b"alice")
-    user = xcq11_user_keygen(params, b"alice", partial, rng)
+    user = keyinfra.make_user("xcq11", params, msk, {b"alice": rng})[b"alice"]
     # full key pairs to the group generator against the combined public point
     combined = combined_public(params, b"alice", user.upk)
     assert t1009.pair(user.full_key, combined) == t1009.g
@@ -158,9 +155,8 @@ def test_xcq11_user_keys(t1009, rng):
 
 def test_xcq11_user_keygen_reproducible(t256):
     params, msk = make_params(t256)
-    partial = xcq11_extract_partial(params, msk, b"alice")
-    u1 = xcq11_user_keygen(params, b"alice", partial, random.Random(3))
-    u2 = xcq11_user_keygen(params, b"alice", partial, random.Random(3))
+    u1 = keyinfra.make_user("xcq11", params, msk, {b"alice": random.Random(3)})
+    u2 = keyinfra.make_user("xcq11", params, msk, {b"alice": random.Random(3)})
     assert u1 == u2
 
 
@@ -170,13 +166,13 @@ def test_xcq11_user_keygen_reproducible(t256):
 def test_xcl12_partial_verifies(t1009, t256, c160, rng):
     for backend in (t1009, t256, c160):
         params, msk = make_params(backend)
-        partial = xcl12_extract_partial(params, msk, b"bob", rng)
+        partial = keyinfra.make_user("xcl12", params, msk, {b"bob": rng})[b"bob"].partial
         assert xcl12_verify_partial(params, b"bob", partial)
 
 
 def test_xcl12_partial_is_inverse(t1009, rng):
     params, msk = make_params(t1009)
-    partial = xcl12_extract_partial(params, msk, b"bob", rng)
+    partial = keyinfra.make_user("xcl12", params, msk, {b"bob": rng})[b"bob"].partial
     q = t1009.q
     r = t1009.dlog_g1(partial.r_u)
     h = keyinfra.binding_hash(params, b"bob", partial.r_u).value
@@ -188,7 +184,7 @@ def test_xcl12_partial_is_inverse(t1009, rng):
 def test_xcl12_tampered_partial_rejected(t256, rng):
     params, msk = make_params(t256)
     for _ in range(100):
-        partial = xcl12_extract_partial(params, msk, b"bob", rng)
+        partial = keyinfra.make_user("xcl12", params, msk, {b"bob": rng})[b"bob"].partial
         tampered = Xcl12PartialKey(partial.s_u, partial.r_u + t256.P)
         assert not xcl12_verify_partial(params, b"bob", tampered)
 
@@ -205,14 +201,13 @@ def test_xcl12_zero_partial_scalar_fails_without_raising(profile):
     # the check compares the masked base with s_U^-1 * P, and 0 has no inverse
     backend = get_backend(profile)
     params, msk = make_params(backend)
-    partial = xcl12_extract_partial(params, msk, b"bob", random.Random(4))
+    partial = keyinfra.make_user("xcl12", params, msk, {b"bob": random.Random(4)})[b"bob"].partial
     assert not xcl12_verify_partial(params, b"bob", Xcl12PartialKey(backend.scalar(0), partial.r_u))
 
 
 def test_xcl12_user_keys(t256, rng):
     params, msk = make_params(t256)
-    partial = xcl12_extract_partial(params, msk, b"carol", rng)
-    user = xcl12_user_keygen(params, b"carol", partial, rng)
+    user = keyinfra.make_user("xcl12", params, msk, {b"carol": rng})[b"carol"]
     assert user.upk == user.secret_value * t256.P
 
 
@@ -227,7 +222,7 @@ def test_keyring_round_trip(fam, t256):
     record = keyring_to_json(fam, params, msk, users)
     # survives a JSON round trip byte-for-byte
     record = json.loads(json.dumps(record))
-    fam2, params2, msk2, users2 = keyring_from_json(record)
+    fam2, params2, msk2, users2 = keyring_from_json(record, keyring_header(record))
     assert fam2 == fam
     assert params2.p0 == params.p0
     assert msk2.x == msk.x
@@ -246,7 +241,8 @@ def test_g0_is_the_pairing_of_p_and_p0(profile, fam):
     backend = get_backend(profile)
     params, msk = make_params(backend)
     users = list(keyinfra.make_user(fam, params, msk, {i: random.Random(6) for i in (b"alice", b"bob")}).values())
-    loaded = keyring_from_json(json.loads(json.dumps(keyring_to_json(fam, params, msk, users))))[1]
+    record = json.loads(json.dumps(keyring_to_json(fam, params, msk, users)))
+    loaded = keyring_from_json(record, keyring_header(record))[1]
     for p in (params, loaded):
         assert p.g0 == backend.pair(backend.P, p.p0)
 
@@ -267,7 +263,7 @@ def test_keyring_load_takes_no_pairing_and_no_strict_decode(c160, monkeypatch, f
     monkeypatch.setattr(SupersingularBackend, "g1_from_bytes", recording)
     counter = OpCounter()
     with metered(counter):
-        keyring_from_json(record)
+        keyring_from_json(record, keyring_header(record))
     # x*P and g0 = g**x, then per user: xcq11 rebuilds s_U, Q_U (one addition), upk_U and S_U; xcl12 rebuilds R_U and upk_U
     assert counter == OpCounter(point_adds=adds, scalar_muls=muls, pairings=0, g2_exps=1)
     # only xcl12 decodes a stored point, R_U, and not strictly: r*P must give it back
@@ -275,10 +271,9 @@ def test_keyring_load_takes_no_pairing_and_no_strict_decode(c160, monkeypatch, f
 
 
 def test_keyring_rejects_garbage():
-    with pytest.raises(EncodingError):
-        keyring_from_json({"schema": "bogus"})
-    with pytest.raises(EncodingError):
-        keyring_from_json({"schema": keyinfra.KEYRING_SCHEMA, "protocol": "xcq11"})
+    for record in ({"schema": "bogus"}, {"schema": keyinfra.KEYRING_SCHEMA, "protocol": "xcq11"}):
+        with pytest.raises(EncodingError):
+            keyring_from_json(record, keyring_header(record))
 
 
 def test_keyring_rejects_invalid_partial(t256):
@@ -288,7 +283,7 @@ def test_keyring_rejects_invalid_partial(t256):
     record = keyring_to_json("xcq11", params, msk, users)
     record["users"][0]["partial"] = (t256.scalar(5) * t256.P).to_bytes().hex()
     with pytest.raises(EncodingError):
-        keyring_from_json(record)
+        keyring_from_json(record, keyring_header(record))
 
 
 def test_keyring_rejects_xcl12_partial_key_with_zero_r(t256):
@@ -302,7 +297,7 @@ def test_keyring_rejects_xcl12_partial_key_with_zero_r(t256):
     assert xcl12_verify_partial(params, b"alice", partial)
     record["users"][0].update(partial_s=partial.s_u.to_bytes().hex(), partial_r=partial.r_u.to_bytes().hex())
     with pytest.raises(EncodingError):
-        keyring_from_json(record)
+        keyring_from_json(record, keyring_header(record))
 
 
 # -- one inversion per pass ----------------------------------------------------------
@@ -329,7 +324,7 @@ def test_a_t256_world_and_its_keyring_load_make_one_inversion_per_pass(monkeypat
     assert exponents.count(-1) == inversions
     record = json.loads(json.dumps(keyring_to_json(family(protocol), world.params, world.msk, world.users.values())))
     exponents.clear()
-    _, _, _, users = keyring_from_json(record)
+    _, _, _, users = keyring_from_json(record, keyring_header(record))
     assert exponents.count(-1) == inversions
     assert users == world.users
 
@@ -396,12 +391,8 @@ def test_a_world_on_one_rng_is_the_user_by_user_world(t1009, fam, seed):
     kgc, pinned = RESAMPLED_WORLDS[fam, seed]
     assert record["kgc"]["x"] == kgc
     assert [tuple(rec.values()) for rec in record["users"]] == pinned
-    # the same world from the one-user pipelines, run user by user
+    # the same world made one user at a time
     rng = random.Random(seed)
     params, msk = setup(t1009, rng)
     for identity in IDS:
-        if fam == "xcq11":
-            user = xcq11_user_keygen(params, identity, xcq11_extract_partial(params, msk, identity), rng)
-        else:
-            user = xcl12_user_keygen(params, identity, xcl12_extract_partial(params, msk, identity, rng), rng)
-        assert user == users[identity]
+        assert keyinfra.make_user(fam, params, msk, {identity: rng}) == {identity: users[identity]}

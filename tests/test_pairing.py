@@ -103,6 +103,17 @@ def test_inverses_refuse_a_zero_at_any_position(t256, position):
     assert str(batch.value) == str(single.value) == "scalar 0 has no inverse"
 
 
+@pytest.mark.parametrize("position", range(3))
+def test_inverses_refuse_a_scalar_of_another_backend(t1009, t256, position):
+    # 5 is invertible mod either q, so only its backend can be refused
+    scalars = [t256.scalar(v) for v in (2, 3)]
+    scalars.insert(position, t1009.scalar(5))
+    with pytest.raises(BackendMismatchError):
+        t256.inverses(scalars)
+    with pytest.raises(BackendMismatchError):
+        t1009.inverses([t1009.scalar(5), t256.scalar(0)])
+
+
 def test_backend_mismatch_rejected(t1009, t256):
     with pytest.raises(BackendMismatchError):
         t1009.P + t256.P
